@@ -84,6 +84,8 @@ struct HashEntryLayout
     {
         return fixedBytes + overheadBytes + slotBytes * resultsPerEntry;
     }
+
+    bool operator==(const HashEntryLayout &) const = default;
 };
 
 /**

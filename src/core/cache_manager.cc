@@ -149,12 +149,15 @@ CacheManager::update(PocketSearch &ps, const logs::TripletTable &fresh,
 
     // 4. Server -> phone: new hash table + database patches.
     ps.clearTable();
-    for (const auto &[key, m] : merged) {
-        (void)key;
-        if (ps.installPair(m.pair, m.score, m.accessed, time)) {
-            ++stats.recordsPatched;
-            stats.bytesToPhone += QueryUniverse::recordSize(
-                universe_.result(m.pair.result));
+    {
+        PocketSearch::BulkInstall bulk(ps);
+        for (const auto &[key, m] : merged) {
+            (void)key;
+            if (ps.installPair(m.pair, m.score, m.accessed, time)) {
+                ++stats.recordsPatched;
+                stats.bytesToPhone += QueryUniverse::recordSize(
+                    universe_.result(m.pair.result));
+            }
         }
     }
     stats.bytesToPhone += ps.dramBytes();

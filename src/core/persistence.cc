@@ -53,6 +53,15 @@ struct ParsedSlot
     std::vector<ParsedPair> pairs;
 };
 
+/** Reinstate staged pairs, bulk-loading the suggest index once. */
+void
+restoreAll(PocketSearch &ps, const std::vector<ParsedPair> &pairs)
+{
+    PocketSearch::BulkInstall bulk(ps);
+    for (const auto &p : pairs)
+        ps.restorePair(p.query, p.urlHash, p.score, p.accessed);
+}
+
 std::string
 slotName(const std::string &file_name, int slot)
 {
@@ -242,8 +251,7 @@ restoreLegacy(PocketSearch &ps, pc::simfs::FlashStore &store,
     if (!parsePairs(blob, pos, blob.size(), count, pairs))
         return res;
 
-    for (const auto &p : pairs)
-        ps.restorePair(p.query, p.urlHash, p.score, p.accessed);
+    restoreAll(ps, pairs);
     res.pairs = pairs.size();
     res.ok = true;
     res.legacyFormat = true;
@@ -293,8 +301,7 @@ restoreIndex(PocketSearch &ps, pc::simfs::FlashStore &store,
         return res;
     }
 
-    for (const auto &p : slots[best].pairs)
-        ps.restorePair(p.query, p.urlHash, p.score, p.accessed);
+    restoreAll(ps, slots[best].pairs);
     res.ok = true;
     res.pairs = slots[best].pairs.size();
     res.sequence = slots[best].sequence;

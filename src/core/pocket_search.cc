@@ -67,6 +67,7 @@ PocketSearch::loadCommunity(const CacheContents &contents, SimTime &time)
 {
     if (cfg_.mode == CacheMode::PersonalizationOnly)
         return;
+    BulkInstall bulk(*this);
     for (const auto &sp : contents.pairs)
         installPair(sp.pair, sp.score, /*user_accessed=*/false, time);
 }
@@ -78,8 +79,7 @@ PocketSearch::installPair(const workload::PairRef &p, double score,
     const auto &q = universe_.query(p.query);
     const auto &r = universe_.result(p.result);
     table_.insert(q.text, urlHash(r.url), score, user_accessed);
-    if (cfg_.enableSuggest)
-        suggest_.insert(q.text, score);
+    suggestInsert(q.text, score);
     return db_.addRecord(r, time);
 }
 
@@ -88,8 +88,42 @@ PocketSearch::restorePair(const std::string &query, u64 url_hash,
                           double score, bool user_accessed)
 {
     table_.insert(query, url_hash, score, user_accessed);
-    if (cfg_.enableSuggest)
-        suggest_.insert(query, score);
+    suggestInsert(query, score);
+}
+
+void
+PocketSearch::suggestInsert(const std::string &query_text, double score)
+{
+    if (!cfg_.enableSuggest)
+        return;
+    if (bulk_)
+        bulk_->push_back(Suggestion{query_text, score});
+    else
+        suggest_.insert(query_text, score);
+}
+
+PocketSearch::BulkInstall::BulkInstall(PocketSearch &ps) : ps_(ps)
+{
+    pc_assert(!ps_.bulk_, "bulk installs do not nest");
+    ps_.bulk_ = &batch_;
+}
+
+PocketSearch::BulkInstall::~BulkInstall()
+{
+    ps_.bulk_ = nullptr;
+    ps_.suggest_.insertAll(std::move(batch_));
+}
+
+void
+PocketSearch::copyStateFrom(const PocketSearch &src)
+{
+    pc_assert(&universe_ == &src.universe_ && cfg_ == src.cfg_,
+              "cache state copy needs the same universe and config");
+    pc_assert(table_.entries() == 0 && suggest_.size() == 0 && !bulk_,
+              "cache state copy needs an empty cache");
+    table_ = src.table_;
+    suggest_ = src.suggest_;
+    db_.copyStateFrom(src.db_);
 }
 
 std::optional<ResultRef>
@@ -103,6 +137,7 @@ PocketSearch::findPair(const workload::PairRef &p) const
 void
 PocketSearch::resyncSuggest(const std::string &query_text)
 {
+    pc_assert(!bulk_, "suggest resync inside a bulk install");
     if (!cfg_.enableSuggest)
         return;
     suggest_.erase(query_text);

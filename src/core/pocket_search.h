@@ -64,6 +64,8 @@ struct PocketSearchConfig
     HashEntryLayout layout{};
     /** Result database shape. */
     DbConfig db{};
+
+    bool operator==(const PocketSearchConfig &) const = default;
 };
 
 /** Outcome of a query lookup. */
@@ -167,6 +169,35 @@ class PocketSearch
     void restorePair(const std::string &query, u64 url_hash,
                      double score, bool user_accessed);
 
+    /**
+     * Bulk-install scope. While one is alive, installPair and
+     * restorePair queue their auto-suggest updates instead of applying
+     * them; the destructor merges the queue in one sorted pass
+     * (SuggestIndex::insertAll), which leaves exactly the index the
+     * per-pair inserts would. No other PocketSearch call may run
+     * inside the scope.
+     */
+    class BulkInstall
+    {
+      public:
+        explicit BulkInstall(PocketSearch &ps);
+        ~BulkInstall();
+        BulkInstall(const BulkInstall &) = delete;
+        BulkInstall &operator=(const BulkInstall &) = delete;
+
+      private:
+        PocketSearch &ps_;
+        std::vector<Suggestion> batch_;
+    };
+
+    /**
+     * Become a copy of `src`'s cache state: hash table, auto-suggest
+     * index and database location map (see CommunityImage, which pairs
+     * this with the store and flash copies). Refuses (pc_assert) unless
+     * this cache is empty and shares `src`'s universe and config.
+     */
+    void copyStateFrom(const PocketSearch &src);
+
     /** Cached state of a pair (score, accessed), or nullopt. */
     std::optional<ResultRef> findPair(const workload::PairRef &p) const;
 
@@ -241,6 +272,8 @@ class PocketSearch
     ResultDatabase &db() { return db_; }
     /** Result database. */
     const ResultDatabase &db() const { return db_; }
+    /** Flash file store the database lives in. */
+    pc::simfs::FlashStore &store() { return store_; }
     /** Universe. */
     const QueryUniverse &universe() const { return universe_; }
     /** Configuration. */
@@ -269,6 +302,9 @@ class PocketSearch
      */
     void resyncSuggest(const std::string &query_text);
 
+    /** Insert into the suggest index, or queue under a BulkInstall. */
+    void suggestInsert(const std::string &query_text, double score);
+
     const QueryUniverse &universe_;
     pc::simfs::FlashStore &store_;
     PocketSearchConfig cfg_;
@@ -277,6 +313,8 @@ class PocketSearch
     SuggestIndex suggest_;
     ServeStats stats_;
     Metrics metrics_;
+    /** The open BulkInstall's queue, or null. */
+    std::vector<Suggestion> *bulk_ = nullptr;
 };
 
 } // namespace pc::core

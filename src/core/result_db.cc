@@ -182,6 +182,19 @@ ResultDatabase::updateRecord(const ResultInfo &r, SimTime &time)
     return true;
 }
 
+void
+ResultDatabase::copyStateFrom(const ResultDatabase &src)
+{
+    pc_assert(!engine_ && !src.engine_,
+              "database state copy supports flat files only");
+    pc_assert(cfg_ == src.cfg_ && prefix_ == src.prefix_ &&
+                  dataFiles_ == src.dataFiles_ &&
+                  indexFiles_ == src.indexFiles_,
+              "database state copy needs the same shape and files");
+    pc_assert(locations_.empty(), "database state copy needs an empty db");
+    locations_ = src.locations_;
+}
+
 bool
 ResultDatabase::contains(u64 url_hash) const
 {

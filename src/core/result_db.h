@@ -58,6 +58,8 @@ struct DbConfig
     bool useStoreEngine = false;
     /** Engine shape when useStoreEngine is set. */
     pc::store::StoreEngineConfig engine{};
+
+    bool operator==(const DbConfig &) const = default;
 };
 
 /**
@@ -128,6 +130,14 @@ class ResultDatabase
 
     /** Names of all database files. */
     std::vector<std::string> fileNames() const;
+
+    /**
+     * Become a copy of `src`'s location map (the record bytes are the
+     * store's to copy). Refuses (pc_assert) unless both are flat-file
+     * databases of the same shape over identically numbered files and
+     * this one holds no records.
+     */
+    void copyStateFrom(const ResultDatabase &src);
 
     /** The slab engine, or nullptr in flat-file mode. */
     pc::store::StoreEngine *engine() { return engine_.get(); }

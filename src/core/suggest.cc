@@ -1,6 +1,7 @@
 #include "core/suggest.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "util/logging.h"
 
@@ -26,6 +27,39 @@ SuggestIndex::insert(const std::string &query, double score)
     entries_.insert(entries_.begin() + std::ptrdiff_t(i),
                     Entry{query, score});
     return true;
+}
+
+std::size_t
+SuggestIndex::insertAll(std::vector<Suggestion> batch)
+{
+    // Stable: equal queries keep batch order, so the max-fold below
+    // sees scores in exactly the order repeated insert() would.
+    std::stable_sort(batch.begin(), batch.end(),
+                     [](const Suggestion &a, const Suggestion &b) {
+                         return a.query < b.query;
+                     });
+    std::vector<Entry> merged;
+    merged.reserve(entries_.size() + batch.size());
+    std::size_t added = 0;
+    auto old = entries_.begin();
+    for (std::size_t i = 0; i < batch.size();) {
+        while (old != entries_.end() && old->query < batch[i].query)
+            merged.push_back(std::move(*old++));
+        Entry e;
+        if (old != entries_.end() && old->query == batch[i].query) {
+            e = std::move(*old++);
+        } else {
+            e = Entry{std::move(batch[i].query), batch[i].score};
+            ++added;
+            ++i;
+        }
+        for (; i < batch.size() && batch[i].query == e.query; ++i)
+            e.score = std::max(e.score, batch[i].score);
+        merged.push_back(std::move(e));
+    }
+    std::move(old, entries_.end(), std::back_inserter(merged));
+    entries_ = std::move(merged);
+    return added;
 }
 
 bool

@@ -39,6 +39,14 @@ servePathKey(ServePath p)
     return "?";
 }
 
+pc::nvm::FlashConfig
+deviceFlashConfig(const DeviceConfig &cfg)
+{
+    pc::nvm::FlashConfig fc = cfg.flash;
+    fc.capacity = cfg.flashCapacity;
+    return fc;
+}
+
 CounterBag
 ResilienceStats::toCounters() const
 {
@@ -67,9 +75,7 @@ MobileDevice::MobileDevice(const core::QueryUniverse &universe,
       edge_(radio::edgeConfig()),
       wifi_(radio::wifiConfig())
 {
-    pc::nvm::FlashConfig fc = cfg_.flash;
-    fc.capacity = cfg_.flashCapacity;
-    flash_ = std::make_unique<pc::nvm::FlashDevice>(fc);
+    flash_ = std::make_unique<pc::nvm::FlashDevice>(deviceFlashConfig(cfg_));
     store_ = std::make_unique<pc::simfs::FlashStore>(*flash_, cfg_.store);
     ps_ = std::make_unique<PocketSearch>(universe, *store_, ps_cfg);
 }

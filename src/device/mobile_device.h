@@ -94,6 +94,9 @@ struct DeviceConfig
     RetryPolicy retry{};
 };
 
+/** The flash geometry a device with these constants runs on. */
+pc::nvm::FlashConfig deviceFlashConfig(const DeviceConfig &cfg);
+
 /** Resilience counters: what the device did about injected faults. */
 struct ResilienceStats
 {

@@ -1,7 +1,6 @@
 #include "device/replay.h"
 
-#include "nvm/flash_device.h"
-#include "simfs/flash_store.h"
+#include "core/community_image.h"
 #include "util/logging.h"
 
 namespace pc::device {
@@ -64,6 +63,16 @@ ReplayDriver::run(const ReplayConfig &cfg) const
     workload::PopulationSampler sampler(pop_);
     Rng seeder(cfg.seed);
 
+    // Every user's phone is the same fresh phone with the same push:
+    // install it once and copy it into each.
+    pc::nvm::FlashConfig fc;
+    fc.capacity = 64 * kMiB;
+    const pc::simfs::StoreConfig sc;
+    core::PocketSearchConfig ps_cfg;
+    ps_cfg.mode = cfg.mode;
+    ps_cfg.lambda = cfg.lambda;
+    const core::CommunityImage image(universe_, contents_, fc, sc, ps_cfg);
+
     for (int c = 0; c < 4; ++c) {
         const auto cls = UserClass(c);
         ClassReplayResult agg;
@@ -84,16 +93,10 @@ ReplayDriver::run(const ReplayConfig &cfg) const
             const auto events = stream.month(0);
 
             // Each user gets their own phone: flash + store + cache.
-            pc::nvm::FlashConfig fc;
-            fc.capacity = 64 * kMiB;
             pc::nvm::FlashDevice flash(fc);
-            pc::simfs::FlashStore store(flash);
-            core::PocketSearchConfig ps_cfg;
-            ps_cfg.mode = cfg.mode;
-            ps_cfg.lambda = cfg.lambda;
+            pc::simfs::FlashStore store(flash, sc);
             core::PocketSearch ps(universe_, store, ps_cfg);
-            SimTime sink = 0;
-            ps.loadCommunity(contents_, sink);
+            image.installInto(ps);
 
             auto res = replayUser(profile, events, ps);
             sum_hit += res.hitRate();

@@ -11,6 +11,7 @@
 
 #include <cmath>
 
+#include "core/community_image.h"
 #include "core/table_codec.h"
 #include "harness/event_core.h"
 #include "server/work_queue.h"
@@ -156,6 +157,21 @@ struct DeviceTelemetry
 };
 
 /**
+ * The cache config every device of a run gets. Chaos runs pin the
+ * cache to CommunityOnly so a synced device table is byte-comparable
+ * to the server model (the invariant the fold checks); chaos off
+ * leaves the config untouched.
+ */
+core::PocketSearchConfig
+devicePsConfig(const FleetRunConfig &cfg)
+{
+    core::PocketSearchConfig psCfg;
+    if (cfg.chaos.enabled)
+        psCfg.mode = core::CacheMode::CommunityOnly;
+    return psCfg;
+}
+
+/**
  * One device's private simulation world plus the steps both engines
  * drive it with. The epoch loop calls beginMonth / serve-per-event /
  * endMonth directly; the event drivers schedule the *same member
@@ -169,8 +185,13 @@ struct DeviceTelemetry
 class DeviceSim
 {
   public:
+    /**
+     * @param image The run's community push, prebuilt; set exactly
+     *        when the run has no cloud service.
+     */
     DeviceSim(const Workbench &wb, const FleetRunConfig &cfg,
-              std::size_t i, const workload::UserProfile &profile)
+              std::size_t i, const workload::UserProfile &profile,
+              const core::CommunityImage *image)
         : cfg_(cfg), i_(i), chaos_(cfg.chaos.enabled),
           devSeed_(cfg.seed * 1000003ull + u64(i) * 7919ull)
     {
@@ -178,15 +199,9 @@ class DeviceSim
         out_.classKey = userClassKey(profile.cls);
         out_.registry = std::make_unique<obs::MetricRegistry>();
 
-        // Chaos runs pin the cache to CommunityOnly so a synced device
-        // table is byte-comparable to the server model (the invariant
-        // the fold checks); chaos off leaves the config untouched.
-        core::PocketSearchConfig psCfg;
-        if (chaos_)
-            psCfg.mode = core::CacheMode::CommunityOnly;
-        dev_.emplace(wb.universe(), cfg.device, psCfg);
-        if (!cfg.cloud)
-            dev_->installCommunityCache(wb.communityCache());
+        dev_.emplace(wb.universe(), cfg.device, devicePsConfig(cfg));
+        if (image)
+            image->installInto(dev_->pocketSearch());
         dev_->attachMetrics(out_.registry.get());
 
         // Chaos attaches the flight recorder: every sync leaves a
@@ -633,14 +648,16 @@ driveFlashCrowd(DeviceSim &sim, const FleetRunConfig &cfg, std::size_t i)
 
 /**
  * Simulate device `i` in a private world under the configured engine.
- * Reads the workbench and the cloud service (if any) strictly
- * read-only, so any number of these may run concurrently.
+ * Reads the workbench, the community image and the cloud service (if
+ * any) strictly read-only, so any number of these may run
+ * concurrently.
  */
 DeviceTelemetry
 simulateDevice(const Workbench &wb, const FleetRunConfig &cfg,
-               std::size_t i, const workload::UserProfile &profile)
+               std::size_t i, const workload::UserProfile &profile,
+               const core::CommunityImage *image)
 {
-    DeviceSim sim(wb, cfg, i, profile);
+    DeviceSim sim(wb, cfg, i, profile, image);
     if (cfg.engine == FleetEngine::EpochStepped) {
         for (u32 m = 0; m < cfg.months; ++m) {
             sim.beginMonth(m);
@@ -792,11 +809,22 @@ runFleet(const Workbench &wb, const FleetRunConfig &cfg,
     if (std::size_t(threads) > cfg.devices)
         threads = cfg.devices > 0 ? unsigned(cfg.devices) : 1;
 
+    // Without a cloud service every device starts from the workbench's
+    // one-shot community push. Install it once here and copy it into
+    // each device: the copy is the bytes the per-device install would
+    // have produced, at a fraction of the cost.
+    std::optional<core::CommunityImage> image;
+    if (!cfg.cloud && cfg.devices > 0)
+        image.emplace(wb.universe(), wb.communityCache(),
+                      device::deviceFlashConfig(cfg.device),
+                      cfg.device.store, devicePsConfig(cfg));
+    const core::CommunityImage *img = image ? &*image : nullptr;
+
     FleetRunResult result;
     if (threads == 1) {
         // In-place: one device world alive at a time.
         for (std::size_t i = 0; i < profiles.size(); ++i)
-            foldDevice(simulateDevice(wb, cfg, i, profiles[i]), cfg,
+            foldDevice(simulateDevice(wb, cfg, i, profiles[i], img), cfg,
                        ctx, collector, result);
     } else {
         // Device indices out through one bounded queue, telemetry back
@@ -818,7 +846,7 @@ runFleet(const Workbench &wb, const FleetRunConfig &cfg,
                 std::size_t i = 0;
                 while (tasks.pop(i))
                     results.push(
-                        simulateDevice(wb, cfg, i, profiles[i]));
+                        simulateDevice(wb, cfg, i, profiles[i], img));
             });
         }
 

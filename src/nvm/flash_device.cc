@@ -72,6 +72,16 @@ FlashDevice::eraseBlockAt(Bytes addr)
     return cfg_.eraseBlockLatency;
 }
 
+void
+FlashDevice::copyStateFrom(const FlashDevice &src)
+{
+    pc_assert(cfg_ == src.cfg_, "flash state copy needs the same config");
+    pc_assert(stats_.readOps == 0 && stats_.writeOps == 0 &&
+                  blocksErased_ == 0,
+              "flash state copy needs an unused device");
+    *this = src;
+}
+
 u64
 FlashDevice::blockEraseCount(u64 block) const
 {

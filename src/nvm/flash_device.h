@@ -31,6 +31,8 @@ struct FlashConfig
     /** Bus transfer time per byte (50 MB/s bus => 20 ns/B). */
     SimTime busPerByte = 20;
     MilliWatts activePower = 30.0; ///< Power while busy.
+
+    bool operator==(const FlashConfig &) const = default;
 };
 
 /**
@@ -68,6 +70,13 @@ class FlashDevice : public StorageDevice
     u64 pagesProgrammed() const { return pagesProgrammed_; }
     /** Total blocks erased since construction. */
     u64 blocksErased() const { return blocksErased_; }
+
+    /**
+     * Become a copy of `src`: counters, stats and per-block wear.
+     * Refuses (pc_assert) unless the configs match and this device has
+     * never been accessed.
+     */
+    void copyStateFrom(const FlashDevice &src);
 
   private:
     void checkRange(Bytes addr, Bytes len) const;

@@ -315,6 +315,22 @@ FlashStore::remove(FileId id)
     remove(id, discarded);
 }
 
+void
+FlashStore::copyStateFrom(const FlashStore &src)
+{
+    pc_assert(cfg_ == src.cfg_, "store state copy needs the same config");
+    bool fresh = nextBlock_ == 0 && freeBlocks_.empty() && !faults_ &&
+                 !metrics_.writes && files_.size() == src.files_.size();
+    for (std::size_t i = 0; fresh && i < files_.size(); ++i)
+        fresh = files_[i].live && files_[i].data.empty() &&
+                files_[i].name == src.files_[i].name;
+    pc_assert(fresh, "store state copy needs a fresh store");
+    files_ = src.files_;
+    byName_ = src.byName_;
+    freeBlocks_ = src.freeBlocks_;
+    nextBlock_ = src.nextBlock_;
+}
+
 double
 FlashStore::avgWear(FileId id) const
 {

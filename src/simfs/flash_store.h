@@ -51,6 +51,8 @@ struct StoreConfig
      * allocator work, much flatter erase distribution.
      */
     bool wearLeveling = false;
+
+    bool operator==(const StoreConfig &) const = default;
 };
 
 /** Aggregate space accounting for the store. */
@@ -168,6 +170,16 @@ class FlashStore
 
     /** Names of all live files (sorted). */
     std::vector<std::string> listFiles() const;
+
+    /**
+     * Become a copy of `src`'s files and allocator state; the device
+     * binding, fault plan and metrics stay this store's own (the
+     * device's counters are its own copy to make). Refuses (pc_assert)
+     * unless the configs match and this store is fresh: the same file
+     * names as `src`, all empty, no block ever allocated, and no fault
+     * plan or metrics attached (either would have seen the writes).
+     */
+    void copyStateFrom(const FlashStore &src);
 
     /** The underlying flash device. */
     pc::nvm::FlashDevice &device() { return device_; }

@@ -77,6 +77,8 @@ struct StoreEngineConfig
     SimTime hitOverhead = 2 * kMicrosecond;
     /** Modelled block-layer submission cost of a read that misses. */
     SimTime missOverhead = 150 * kMicrosecond;
+
+    bool operator==(const StoreEngineConfig &) const = default;
 };
 
 /** Garbage-collection counters. */

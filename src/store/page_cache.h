@@ -30,6 +30,8 @@ struct PageCacheConfig
     Bytes pageSize = 4 * kKiB;
     /** Capacity in pages; 0 disables the cache (every lookup misses). */
     u32 capacityPages = 64;
+
+    bool operator==(const PageCacheConfig &) const = default;
 };
 
 /** Cumulative cache statistics. */
