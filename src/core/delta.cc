@@ -22,6 +22,14 @@ constexpr std::size_t kScoredBytes = 4 + 4 + 8 + 8;
 /** Evict record: pair ids only. */
 constexpr std::size_t kEvictBytes = 4 + 4;
 
+/** Encoded payload size for the given op counts (u64: no overflow). */
+constexpr u64
+payloadBytes(u64 adds, u64 evicts, u64 reranks)
+{
+    return kHeaderBytes + (adds + reranks) * kScoredBytes +
+           evicts * kEvictBytes;
+}
+
 template <typename T>
 void
 put(std::string &out, T v)
@@ -167,8 +175,13 @@ tryApplyCommunityDelta(PocketSearch &ps, const CommunityDelta &delta,
     }
 
     // Commit. Every operation below was proven to resolve, so the
-    // sequence cannot fail part-way for state reasons.
+    // sequence cannot fail part-way for state reasons. Auto-suggest
+    // updates are deferred to one merge pass when the scope closes;
+    // every add below installs a pair at a score the table then holds,
+    // which is what keeps the deferred index identical to per-call
+    // updates (see BulkInstall).
     DeltaApplyStats &stats = res.stats;
+    PocketSearch::BulkInstall bulk(ps);
 
     if (fullInstall && ps.pairs() > 0) {
         // Full install onto a non-empty cache: reconcile. Community
@@ -267,9 +280,8 @@ std::string
 encodeDelta(const CommunityDelta &delta)
 {
     std::string out;
-    out.reserve(kHeaderBytes +
-                kScoredBytes * (delta.adds.size() + delta.reranks.size()) +
-                kEvictBytes * delta.evicts.size());
+    out.reserve(payloadBytes(delta.adds.size(), delta.evicts.size(),
+                             delta.reranks.size()));
     out.append(kPayloadMagic, 4);
     put<u64>(out, delta.fromVersion);
     put<u64>(out, delta.toVersion);
@@ -307,11 +319,8 @@ decodeDelta(std::string_view payload)
     const u32 evicts = get<u32>(p + 20);
     const u32 reranks = get<u32>(p + 24);
     // Length check before any allocation: a corrupted count cannot
-    // trigger a huge reserve. u64 arithmetic avoids overflow.
-    const u64 want = u64(kHeaderBytes) +
-                     u64(adds + u64(reranks)) * kScoredBytes +
-                     u64(evicts) * kEvictBytes;
-    if (payload.size() != want)
+    // trigger a huge reserve.
+    if (payload.size() != payloadBytes(adds, evicts, reranks))
         return std::nullopt;
 
     p = payload.data() + kHeaderBytes;
@@ -404,7 +413,10 @@ unframeDelta(std::string_view frame, FrameError *error)
 Bytes
 deltaWireBytes(const CommunityDelta &delta, const QueryUniverse &universe)
 {
-    Bytes bytes = Bytes(encodeDelta(delta).size()) + kDeltaFrameOverhead;
+    Bytes bytes = Bytes(payloadBytes(delta.adds.size(),
+                                     delta.evicts.size(),
+                                     delta.reranks.size())) +
+                  kDeltaFrameOverhead;
     // Result records ship once per distinct result (the patch files
     // are per result, not per pair); ids outside the universe are
     // synthetic test pairs and carry no record.

@@ -1,5 +1,7 @@
 #include "core/pocket_search.h"
 
+#include <algorithm>
+
 #include "util/hash.h"
 #include "util/logging.h"
 
@@ -97,7 +99,7 @@ PocketSearch::suggestInsert(const std::string &query_text, double score)
     if (!cfg_.enableSuggest)
         return;
     if (bulk_)
-        bulk_->push_back(Suggestion{query_text, score});
+        bulk_->inserts.push_back(Suggestion{query_text, score});
     else
         suggest_.insert(query_text, score);
 }
@@ -105,13 +107,25 @@ PocketSearch::suggestInsert(const std::string &query_text, double score)
 PocketSearch::BulkInstall::BulkInstall(PocketSearch &ps) : ps_(ps)
 {
     pc_assert(!ps_.bulk_, "bulk installs do not nest");
-    ps_.bulk_ = &batch_;
+    ps_.bulk_ = &queue_;
 }
 
 PocketSearch::BulkInstall::~BulkInstall()
 {
     ps_.bulk_ = nullptr;
-    ps_.suggest_.insertAll(std::move(batch_));
+    ps_.suggest_.insertAll(std::move(queue_.inserts));
+    auto &dirty = queue_.dirty;
+    if (dirty.empty())
+        return;
+    std::sort(dirty.begin(), dirty.end());
+    dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
+    std::vector<SuggestIndex::Assignment> batch;
+    batch.reserve(dirty.size());
+    for (auto &q : dirty) {
+        const auto best = ps_.bestScore(q);
+        batch.push_back(SuggestIndex::Assignment{std::move(q), best});
+    }
+    ps_.suggest_.assignAll(std::move(batch));
 }
 
 void
@@ -134,16 +148,27 @@ PocketSearch::findPair(const workload::PairRef &p) const
     return table_.findPair(q.text, urlHash(r.url));
 }
 
+std::optional<double>
+PocketSearch::bestScore(const std::string &query_text) const
+{
+    const auto refs = table_.lookup(query_text);
+    if (refs.empty())
+        return std::nullopt;
+    return refs.front().score;
+}
+
 void
 PocketSearch::resyncSuggest(const std::string &query_text)
 {
-    pc_assert(!bulk_, "suggest resync inside a bulk install");
     if (!cfg_.enableSuggest)
         return;
+    if (bulk_) {
+        bulk_->dirty.push_back(query_text);
+        return;
+    }
     suggest_.erase(query_text);
-    const auto refs = table_.lookup(query_text);
-    if (!refs.empty())
-        suggest_.insert(query_text, refs.front().score);
+    if (const auto best = bestScore(query_text))
+        suggest_.insert(query_text, *best);
 }
 
 bool
@@ -284,9 +309,8 @@ PocketSearch::recordClick(const workload::PairRef &p, SimTime &time)
     }
     if (cfg_.enableSuggest) {
         // Keep the box in sync: the clicked query's best score rose.
-        const auto refs = table_.lookup(q.text);
-        if (!refs.empty())
-            suggest_.insert(q.text, refs.front().score);
+        if (const auto best = bestScore(q.text))
+            suggest_.insert(q.text, *best);
     }
     if (db_.addRecord(r, time)) {
         ++stats_.recordsLearned;

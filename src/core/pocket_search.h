@@ -110,6 +110,13 @@ struct ServeStats
  */
 class PocketSearch
 {
+    /** Auto-suggest updates deferred by an open BulkInstall. */
+    struct BulkQueue
+    {
+        std::vector<Suggestion> inserts; ///< Queued ratchet inserts.
+        std::vector<std::string> dirty;  ///< Queries to resync.
+    };
+
   public:
     /**
      * @param universe Interprets pair ids (strings, URLs, records).
@@ -170,12 +177,25 @@ class PocketSearch
                      double score, bool user_accessed);
 
     /**
-     * Bulk-install scope. While one is alive, installPair and
-     * restorePair queue their auto-suggest updates instead of applying
-     * them; the destructor merges the queue in one sorted pass
-     * (SuggestIndex::insertAll), which leaves exactly the index the
-     * per-pair inserts would. No other PocketSearch call may run
-     * inside the scope.
+     * Bulk-install scope. While one is alive, auto-suggest updates are
+     * deferred: installPair and restorePair queue their inserts, and
+     * evictPair and setPairScore only mark their query dirty. The
+     * destructor merges the queued inserts in one sorted pass
+     * (SuggestIndex::insertAll), then resolves every dirty query
+     * against the final table in a second one (SuggestIndex::
+     * assignAll): the score becomes the query's best table score, or
+     * the entry goes when the table no longer holds the query.
+     *
+     * That is exactly the index the per-call updates leave, provided
+     * every insert that follows a query's last evict or re-score
+     * carries a score the table holds (a fresh pair's install score).
+     * The per-call path ends the query at its best table score as of
+     * that resync, raised by those later inserts — which is the final
+     * table's best score (bit for bit: the index stores either zero
+     * as +0.0). Community installs, snapshot restores, the
+     * cache-manager rebuild and delta apply all satisfy it. Only
+     * findPair and table reads may run alongside these calls inside
+     * the scope.
      */
     class BulkInstall
     {
@@ -187,7 +207,7 @@ class PocketSearch
 
       private:
         PocketSearch &ps_;
-        std::vector<Suggestion> batch_;
+        BulkQueue queue_;
     };
 
     /**
@@ -299,11 +319,15 @@ class PocketSearch
      * SuggestIndex::insert only ratchets scores upward, so the entry is
      * erased and reinserted at the query's current best table score —
      * exactly the state a fresh install of the same contents produces.
+     * Under a BulkInstall the query is only marked dirty.
      */
     void resyncSuggest(const std::string &query_text);
 
     /** Insert into the suggest index, or queue under a BulkInstall. */
     void suggestInsert(const std::string &query_text, double score);
+
+    /** A query's best table score, or nullopt if it has no pairs. */
+    std::optional<double> bestScore(const std::string &query_text) const;
 
     const QueryUniverse &universe_;
     pc::simfs::FlashStore &store_;
@@ -314,7 +338,7 @@ class PocketSearch
     ServeStats stats_;
     Metrics metrics_;
     /** The open BulkInstall's queue, or null. */
-    std::vector<Suggestion> *bulk_ = nullptr;
+    BulkQueue *bulk_ = nullptr;
 };
 
 } // namespace pc::core

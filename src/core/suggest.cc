@@ -7,6 +7,21 @@
 
 namespace pc::core {
 
+namespace {
+
+/**
+ * Either zero as +0.0. With one zero, a ratchet over tied zero scores
+ * cannot depend on which arrived first, so every path to the same
+ * scores stores the same bits.
+ */
+double
+canonicalScore(double score)
+{
+    return score == 0.0 ? 0.0 : score;
+}
+
+} // namespace
+
 std::size_t
 SuggestIndex::lowerBound(std::string_view query) const
 {
@@ -19,6 +34,7 @@ SuggestIndex::lowerBound(std::string_view query) const
 bool
 SuggestIndex::insert(const std::string &query, double score)
 {
+    score = canonicalScore(score);
     const std::size_t i = lowerBound(query);
     if (i < entries_.size() && entries_[i].query == query) {
         entries_[i].score = std::max(entries_[i].score, score);
@@ -49,17 +65,43 @@ SuggestIndex::insertAll(std::vector<Suggestion> batch)
         if (old != entries_.end() && old->query == batch[i].query) {
             e = std::move(*old++);
         } else {
-            e = Entry{std::move(batch[i].query), batch[i].score};
+            e = Entry{std::move(batch[i].query),
+                      canonicalScore(batch[i].score)};
             ++added;
             ++i;
         }
         for (; i < batch.size() && batch[i].query == e.query; ++i)
-            e.score = std::max(e.score, batch[i].score);
+            e.score = std::max(e.score, canonicalScore(batch[i].score));
         merged.push_back(std::move(e));
     }
     std::move(old, entries_.end(), std::back_inserter(merged));
     entries_ = std::move(merged);
     return added;
+}
+
+void
+SuggestIndex::assignAll(std::vector<Assignment> batch)
+{
+    pc_assert(std::adjacent_find(batch.begin(), batch.end(),
+                                 [](const Assignment &a,
+                                    const Assignment &b) {
+                                     return !(a.query < b.query);
+                                 }) == batch.end(),
+              "suggest assignments must be sorted and distinct");
+    std::vector<Entry> merged;
+    merged.reserve(entries_.size() + batch.size());
+    auto old = entries_.begin();
+    for (auto &a : batch) {
+        while (old != entries_.end() && old->query < a.query)
+            merged.push_back(std::move(*old++));
+        if (old != entries_.end() && old->query == a.query)
+            ++old; // replaced or erased below
+        if (a.score)
+            merged.push_back(
+                Entry{std::move(a.query), canonicalScore(*a.score)});
+    }
+    std::move(old, entries_.end(), std::back_inserter(merged));
+    entries_ = std::move(merged);
 }
 
 bool

@@ -17,6 +17,7 @@
 #ifndef PC_CORE_SUGGEST_H
 #define PC_CORE_SUGGEST_H
 
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -33,7 +34,8 @@ struct Suggestion
 };
 
 /**
- * Prefix index over cached query strings.
+ * Prefix index over cached query strings. A zero score is stored as
+ * +0.0, whichever zero it was given as.
  */
 class SuggestIndex
 {
@@ -53,6 +55,22 @@ class SuggestIndex
      * @return Number of queries new to the index.
      */
     std::size_t insertAll(std::vector<Suggestion> batch);
+
+    /** One query's resynced score; nullopt removes the query. */
+    struct Assignment
+    {
+        std::string query;
+        std::optional<double> score;
+    };
+
+    /**
+     * Bulk resync: for each assignment, the state erase() followed by
+     * insert() at the given score reaches (or erase() alone for a
+     * nullopt score), in one merge pass instead of an O(n) vector
+     * insert or erase per query. The batch must be sorted by query
+     * with no query repeated.
+     */
+    void assignAll(std::vector<Assignment> batch);
 
     /** Remove a query. @return True if it was present. */
     bool erase(const std::string &query);

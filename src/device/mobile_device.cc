@@ -592,9 +592,10 @@ MobileDevice::syncCommunityFrame(const std::string &frame,
             }
             // The exchange delivered; the payload may still have been
             // mangled in flight. Verify the frame before trusting it.
-            std::string received = frame;
+            std::optional<std::string> mangled;
             if (faults_)
-                faults_->maybeCorruptPayload(received);
+                mangled = faults_->maybeCorruptPayload(frame);
+            const std::string_view received = mangled ? *mangled : frame;
             core::FrameError ferr;
             delta = core::unframeDelta(received, &ferr);
             if (recorder_ != nullptr) {

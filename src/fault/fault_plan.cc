@@ -93,18 +93,19 @@ FaultPlan::drawLatencySpike()
     return spike;
 }
 
-bool
-FaultPlan::maybeCorruptPayload(std::string &payload)
+std::optional<std::string>
+FaultPlan::maybeCorruptPayload(std::string_view payload)
 {
     if (cfg_.radio.payloadCorruptRate <= 0.0 || payload.empty())
-        return false;
+        return std::nullopt;
     if (!rng_.chance(cfg_.radio.payloadCorruptRate))
-        return false;
+        return std::nullopt;
     const u64 bit = rng_.below(u64(payload.size()) * 8);
-    payload[bit / 8] =
-        char(u8(payload[bit / 8]) ^ (1u << (bit % 8)));
+    std::string mangled(payload);
+    mangled[bit / 8] =
+        char(u8(mangled[bit / 8]) ^ (1u << (bit % 8)));
     ++stats_.payloadCorruptions;
-    return true;
+    return mangled;
 }
 
 double

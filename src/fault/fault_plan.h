@@ -30,7 +30,9 @@
 #ifndef PC_FAULT_FAULT_PLAN_H
 #define PC_FAULT_FAULT_PLAN_H
 
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "obs/metrics.h"
 #include "util/rng.h"
@@ -143,9 +145,10 @@ class FaultPlan
      * flip one uniformly chosen bit of the payload (counted). A
      * disabled rate consumes no randomness, so enabling corruption in
      * one experiment cannot perturb another's fault stream.
-     * @return True if a bit was flipped.
+     * @return The mangled copy if a bit was flipped, else nullopt (the
+     *         payload arrived as sent).
      */
-    bool maybeCorruptPayload(std::string &payload);
+    std::optional<std::string> maybeCorruptPayload(std::string_view payload);
 
     /** Note an exchange attempt made during an outage (counted). */
     void noteOutageAttempt() { ++stats_.outageAttempts; }

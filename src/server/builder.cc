@@ -50,15 +50,14 @@ CommunityModelBuilder::CommunityModelBuilder(
     pc_assert(cfg_.threads >= 1, "builder needs at least one worker");
     pc_assert(cfg_.batchRecords >= 1, "batch size must be positive");
     pc_assert(cfg_.queueCapacity >= 1, "queue capacity must be positive");
-}
-
-u32
-CommunityModelBuilder::shardOf(u32 query_id) const
-{
     // Query-*hash* partitioning: the same fnv1a the device hash table
     // keys on, so a real server could shard raw log lines without the
-    // id space the simulation enjoys.
-    return u32(fnv1a(universe_.query(query_id).text) % cfg_.shards);
+    // id space the simulation enjoys. Hashed once per query here, not
+    // once per log record in the ingest loop.
+    shardOf_.reserve(universe_.numQueries());
+    for (u32 q = 0; q < universe_.numQueries(); ++q)
+        shardOf_.push_back(
+            u32(fnv1a(universe_.query(q).text) % cfg_.shards));
 }
 
 CommunityModel
@@ -97,7 +96,7 @@ CommunityModelBuilder::build(const workload::SearchLog &log, u64 version,
                         const auto &pair = records[i].pair;
                         // Poisoned record (ids the universe cannot
                         // interpret): skip and count. shardOf would
-                        // otherwise fault on the query lookup.
+                        // otherwise fault on the table lookup.
                         if (pair.query >= universe_.numQueries() ||
                             pair.result >= universe_.numResults()) {
                             ++w.skipped;

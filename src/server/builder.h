@@ -34,6 +34,8 @@
 #ifndef PC_SERVER_BUILDER_H
 #define PC_SERVER_BUILDER_H
 
+#include <vector>
+
 #include "server/model.h"
 #include "workload/searchlog.h"
 
@@ -50,8 +52,9 @@ struct BuildConfig
 
 /**
  * Builds versioned community models from search logs. Stateless
- * between builds; thread-safe to the extent that distinct builders
- * may run concurrently (one build spawns its own worker pool).
+ * between builds (its query-to-shard table is fixed at construction);
+ * thread-safe to the extent that distinct builders may run
+ * concurrently (one build spawns its own worker pool).
  */
 class CommunityModelBuilder
 {
@@ -75,7 +78,7 @@ class CommunityModelBuilder
                          const core::ContentPolicy &policy) const;
 
     /** Shard a query id the way the pipeline does (exposed for tests). */
-    u32 shardOf(u32 query_id) const;
+    u32 shardOf(u32 query_id) const { return shardOf_.at(query_id); }
 
     /** Configuration. */
     const BuildConfig &config() const { return cfg_; }
@@ -83,6 +86,8 @@ class CommunityModelBuilder
   private:
     const workload::QueryUniverse &universe_;
     BuildConfig cfg_;
+    /** Shard of each query id, hashed once instead of per record. */
+    std::vector<u32> shardOf_;
 };
 
 } // namespace pc::server
