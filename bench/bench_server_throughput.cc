@@ -5,10 +5,14 @@
  *
  * Builds the same community month with 1/2/4/.../T threads (T from
  * --threads / PC_THREADS, default 8) over 8 query-hash shards and
- * reports wall time, records/s and speedup vs the 1-thread pipeline,
- * plus the sequential (fromLog) reference. Every point is checked for
- * byte-identity against the sequential build — the pipeline's core
- * invariant — and the process exits non-zero if any point diverges.
+ * reports wall time, records/s, speedup vs the 1-thread pipeline and
+ * the ratio to the sequential (fromLog) reference measured in the
+ * same run (`vs seq`, lower is faster). Each row is the best of
+ * kRepeats timings: single small-world builds swing by 2-3x between
+ * runs on a busy host, so one shot says little. Every point is
+ * checked for byte-identity against the sequential build — the
+ * pipeline's core invariant — and the process exits non-zero if any
+ * point diverges.
  *
  * The BenchReport (gated by bench_diff in CI) carries only the
  * deterministic quantities: record/row counts, model encoding size,
@@ -35,14 +39,22 @@ using namespace pc::harness;
 
 namespace {
 
+constexpr int kRepeats = 3; ///< Timings per row; the best is shown.
+
+/** Best (lowest) wall ms of kRepeats runs of fn. */
 double
-wallMsOf(const std::function<void()> &fn)
+bestWallMsOf(const std::function<void()> &fn)
 {
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
+    double best = 0.0;
+    for (int i = 0; i < kRepeats; ++i) {
+        const auto t0 = std::chrono::steady_clock::now();
+        fn();
+        const double ms = std::chrono::duration<double, std::milli>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count();
+        best = i == 0 ? ms : std::min(best, ms);
+    }
+    return best;
 }
 
 } // namespace
@@ -61,7 +73,7 @@ main(int argc, char **argv)
     // Sequential reference: the single-sorted-vector build every
     // pipeline shape must reproduce byte for byte.
     server::CommunityModel ref;
-    const double refMs = wallMsOf([&] {
+    const double refMs = bestWallMsOf([&] {
         ref.version = 1;
         ref.table = logs::TripletTable::fromLog(log);
         core::CacheContentBuilder cb(wb.universe());
@@ -77,10 +89,11 @@ main(int argc, char **argv)
 
     AsciiTable t("Ingest scaling (8 shards, " +
                  strformat("%zu", log.size()) + " records)");
-    t.header({"threads", "wall ms", "records/s", "speedup", "identical"});
+    t.header({"threads", "best ms", "records/s", "speedup", "vs seq",
+              "identical"});
     t.row({"seq", strformat("%.1f", refMs),
-           strformat("%.3g", double(log.size()) / (refMs / 1e3)), "1.0x",
-           "ref"});
+           strformat("%.3g", double(log.size()) / (refMs / 1e3)), "-",
+           "1.00", "ref"});
 
     bool allIdentical = true;
     double oneThreadMs = 0.0;
@@ -92,7 +105,7 @@ main(int argc, char **argv)
         server::CommunityModelBuilder b(wb.universe(), cfg);
         server::CommunityModel m;
         const double ms =
-            wallMsOf([&] { m = b.build(log, 1, policy); });
+            bestWallMsOf([&] { m = b.build(log, 1, policy); });
         if (threads == 1)
             oneThreadMs = ms;
         const bool same = m.encode() == want;
@@ -101,7 +114,7 @@ main(int argc, char **argv)
         t.row({strformat("%u", threads), strformat("%.1f", ms),
                strformat("%.3g", double(log.size()) / (ms / 1e3)),
                bench::times(oneThreadMs / ms),
-               same ? "yes" : "** NO **"});
+               strformat("%.2f", ms / refMs), same ? "yes" : "** NO **"});
     }
     t.print();
     std::printf("\nbyte-identity across the sweep: %s\n",

@@ -32,10 +32,10 @@ struct Batch
 /** Per-worker private aggregation state (no locks on the hot path). */
 struct WorkerState
 {
-    /** counts[shard][pairKey] -> volume. */
-    std::vector<std::unordered_map<u64, u64>> counts;
-    /** Records routed to each shard by this worker. */
-    std::vector<u64> shardRecords;
+    /** counts[slot] -> volume of that declared pair. */
+    std::vector<u64> counts;
+    /** overflow[shard][pairKey] -> volume of undeclared pairs. */
+    std::vector<std::unordered_map<u64, u64>> overflow;
     /** Poisoned records this worker dropped (ids out of range). */
     u64 skipped = 0;
 };
@@ -54,10 +54,37 @@ CommunityModelBuilder::CommunityModelBuilder(
     // keys on, so a real server could shard raw log lines without the
     // id space the simulation enjoys. Hashed once per query here, not
     // once per log record in the ingest loop.
-    shardOf_.reserve(universe_.numQueries());
-    for (u32 q = 0; q < universe_.numQueries(); ++q)
-        shardOf_.push_back(
-            u32(fnv1a(universe_.query(q).text) % cfg_.shards));
+    const u32 nQueries = universe_.numQueries();
+    shardOf_.resize(nQueries);
+    querySlots_.resize(nQueries);
+    shardSlots_.assign(cfg_.shards + 1, 0);
+    u64 totalSlots = 0;
+    for (u32 q = 0; q < nQueries; ++q) {
+        const auto &info = universe_.query(q);
+        const u32 s = u32(fnv1a(info.text) % cfg_.shards);
+        shardOf_[q] = s;
+        querySlots_[q].count = u32(info.results.size());
+        shardSlots_[s + 1] += querySlots_[q].count;
+        totalSlots += querySlots_[q].count;
+    }
+    pc_assert(totalSlots <= 0xffffffffull, "too many declared pairs");
+    for (u32 s = 0; s < cfg_.shards; ++s)
+        shardSlots_[s + 1] += shardSlots_[s];
+
+    // One counting pass places each query's run at its shard's cursor.
+    slotQuery_.resize(totalSlots);
+    slotResult_.resize(totalSlots);
+    std::vector<u32> cursor(shardSlots_.begin(), shardSlots_.end() - 1);
+    for (u32 q = 0; q < nQueries; ++q) {
+        QuerySlots &run = querySlots_[q];
+        run.first = cursor[shardOf_[q]];
+        cursor[shardOf_[q]] += run.count;
+        const auto &results = universe_.query(q).results;
+        for (u32 i = 0; i < run.count; ++i) {
+            slotQuery_[run.first + i] = q;
+            slotResult_[run.first + i] = results[i].first;
+        }
+    }
 }
 
 CommunityModel
@@ -78,11 +105,6 @@ CommunityModelBuilder::build(const workload::SearchLog &log, u64 version,
 
     // ---- Stage 1: batched ingest through the bounded queue. -------------
     std::vector<WorkerState> workers(nThreads);
-    for (auto &w : workers) {
-        w.counts.resize(nShards);
-        w.shardRecords.assign(nShards, 0);
-    }
-
     WorkQueue<Batch> queue(cfg_.queueCapacity);
     {
         std::vector<std::thread> pool;
@@ -90,21 +112,31 @@ CommunityModelBuilder::build(const workload::SearchLog &log, u64 version,
         for (u32 t = 0; t < nThreads; ++t) {
             pool.emplace_back([&, t] {
                 WorkerState &w = workers[t];
+                // Allocated (and first touched) by the worker itself.
+                w.counts.assign(slotQuery_.size(), 0);
+                w.overflow.resize(nShards);
                 Batch b;
                 while (queue.pop(b)) {
                     for (std::size_t i = b.begin; i < b.end; ++i) {
                         const auto &pair = records[i].pair;
                         // Poisoned record (ids the universe cannot
-                        // interpret): skip and count. shardOf would
-                        // otherwise fault on the table lookup.
+                        // interpret): skip and count. The slot table
+                        // lookup would otherwise read out of bounds.
                         if (pair.query >= universe_.numQueries() ||
                             pair.result >= universe_.numResults()) {
                             ++w.skipped;
                             continue;
                         }
-                        const u32 s = shardOf(pair.query);
-                        ++w.counts[s][pairKey(pair)];
-                        ++w.shardRecords[s];
+                        const QuerySlots run = querySlots_[pair.query];
+                        const u32 *result = slotResult_.data() + run.first;
+                        u32 at = 0;
+                        while (at < run.count && result[at] != pair.result)
+                            ++at;
+                        if (at < run.count)
+                            ++w.counts[run.first + at];
+                        else
+                            ++w.overflow[shardOf_[pair.query]]
+                                        [pairKey(pair)];
                     }
                 }
             });
@@ -127,9 +159,11 @@ CommunityModelBuilder::build(const workload::SearchLog &log, u64 version,
     model.stats.maxQueueDepth = queue.maxDepth();
     model.stats.meanQueueDepth = queue.meanDepth();
 
-    // ---- Stage 2: merge worker counts per shard (u64 sums — exact,
-    // order-independent), then sort each shard in rowOrder. Shards are
-    // independent, so the sort fans out over the same thread budget.
+    // ---- Stage 2: per shard, sum the workers' counts over the shard's
+    // slot range and merge its overflow entries (u64 sums — exact,
+    // order-independent), then sort the nonzero rows in rowOrder.
+    // Shards are independent, so this fans out over the same thread
+    // budget.
     std::vector<std::vector<logs::Triplet>> shardRows(nShards);
     {
         std::vector<std::thread> pool;
@@ -138,21 +172,37 @@ CommunityModelBuilder::build(const workload::SearchLog &log, u64 version,
         for (u32 t = 0; t < sortThreads; ++t) {
             pool.emplace_back([&, t] {
                 for (u32 s = t; s < nShards; s += sortThreads) {
-                    std::unordered_map<u64, u64> merged;
-                    for (const auto &w : workers)
-                        for (const auto &[key, vol] : w.counts[s])
-                            merged[key] += vol;
                     auto &rows = shardRows[s];
-                    rows.reserve(merged.size());
-                    for (const auto &[key, vol] : merged) {
+                    rows.reserve(shardSlots_[s + 1] - shardSlots_[s]);
+                    u64 shardRecords = 0;
+                    const auto emit = [&](u32 query, u32 result,
+                                          u64 vol) {
                         logs::Triplet row;
-                        row.pair = workload::PairRef{
-                            u32(key >> 32), u32(key & 0xffffffffu)};
+                        row.pair = workload::PairRef{query, result};
                         row.volume = vol;
                         rows.push_back(row);
+                        shardRecords += vol;
+                    };
+                    for (u32 slot = shardSlots_[s];
+                         slot < shardSlots_[s + 1]; ++slot) {
+                        u64 vol = 0;
+                        for (const auto &w : workers)
+                            vol += w.counts[slot];
+                        if (vol > 0)
+                            emit(slotQuery_[slot], slotResult_[slot], vol);
                     }
+                    // Undeclared pairs never share a key with a slot.
+                    std::unordered_map<u64, u64> extra;
+                    for (const auto &w : workers)
+                        for (const auto &[key, vol] : w.overflow[s])
+                            extra[key] += vol;
+                    for (const auto &[key, vol] : extra)
+                        emit(u32(key >> 32), u32(key & 0xffffffffu), vol);
                     std::sort(rows.begin(), rows.end(),
                               logs::TripletTable::rowOrder);
+                    auto &st = model.stats.shardStats[s];
+                    st.rows = rows.size();
+                    st.records = shardRecords;
                 }
             });
         }
@@ -160,12 +210,6 @@ CommunityModelBuilder::build(const workload::SearchLog &log, u64 version,
             th.join();
     }
 
-    for (u32 s = 0; s < nShards; ++s) {
-        auto &st = model.stats.shardStats[s];
-        st.rows = shardRows[s].size();
-        for (const auto &w : workers)
-            st.records += w.shardRecords[s];
-    }
     for (const auto &w : workers)
         model.stats.skippedRecords += w.skipped;
     if (model.stats.skippedRecords > 0)

@@ -6,13 +6,25 @@
  * Pipeline:
  *
  *   log records ──batches──▶ bounded WorkQueue ──▶ T aggregation
- *   workers (each with private per-shard count maps) ──join──▶
- *   per-shard count merge ──▶ per-shard sort ──▶ deterministic
- *   k-way shard merge ──▶ TripletTable ──▶ CacheContents
+ *   workers (each with a private flat count array indexed by pair
+ *   slot, plus a small per-shard overflow map) ──join──▶ per-shard
+ *   slot-range sum + sort (fanned out over the T threads) ──▶
+ *   deterministic k-way shard merge ──▶ TripletTable ──▶ CacheContents
+ *
+ * Slot layout: every pair the universe declares (QueryInfo::results)
+ * gets a dense slot at construction. Slots are grouped by shard, so
+ * each shard owns one contiguous slot range, and within it each query
+ * owns a short run (1-3 slots in generated worlds). A worker finds a record's slot by scanning
+ * its query's run and bumps a u64 — no hashing on the hot path. A
+ * record whose ids are in range but name a pair the universe does
+ * not declare goes to the worker's overflow map for that shard, so an
+ * arbitrary log still builds exactly; generated logs never reach it.
  *
  * Records are partitioned by *query hash* (fnv1a of the query string,
  * the same hash the device table keys on), so one query's volume
  * always lands in one shard and shards partition the pair space.
+ * Per-shard record counts are the sums of the shard's slot range and
+ * overflow volumes, so the hot loop does no per-record shard lookup.
  *
  * Determinism invariant (tested, and the reason the whole fleet of
  * byte-deterministic benches survives this subsystem): for any shard
@@ -52,7 +64,8 @@ struct BuildConfig
 
 /**
  * Builds versioned community models from search logs. Stateless
- * between builds (its query-to-shard table is fixed at construction);
+ * between builds (its shard and slot tables are fixed at construction
+ * and only read by the workers; counts are allocated per build);
  * thread-safe to the extent that distinct builders may run
  * concurrently (one build spawns its own worker pool).
  */
@@ -86,8 +99,22 @@ class CommunityModelBuilder
   private:
     const workload::QueryUniverse &universe_;
     BuildConfig cfg_;
+    /** A query's run of slots, one per declared result. */
+    struct QuerySlots
+    {
+        u32 first = 0;
+        u32 count = 0;
+    };
+
     /** Shard of each query id, hashed once instead of per record. */
     std::vector<u32> shardOf_;
+    /** Slot run of each query id. */
+    std::vector<QuerySlots> querySlots_;
+    /** Shard s owns slots [shardSlots_[s], shardSlots_[s + 1]). */
+    std::vector<u32> shardSlots_;
+    /** The pair each slot counts. */
+    std::vector<u32> slotQuery_;
+    std::vector<u32> slotResult_;
 };
 
 } // namespace pc::server
