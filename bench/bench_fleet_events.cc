@@ -4,7 +4,7 @@
  * impossible to express on the epoch harness (it can only see month
  * boundaries; everything here happens *inside* one).
  *
- * 150 devices run 2 simulated months on the EventDriven engine with
+ * 150 devices run 2 simulated months on the event core with
  * weekly telemetry windows. Per device, query arrivals are a seeded
  * Poisson process (2/hour); week 2 is a burst window at 6x the base
  * rate — the flash crowd. Mid month 1 the radio dies fleet-wide for
@@ -65,7 +65,6 @@ scenario()
     FleetRunConfig cfg;
     cfg.devices = 150;
     cfg.months = 2;
-    cfg.engine = FleetEngine::EventDriven;
     cfg.flashCrowd.enabled = true;
     cfg.flashCrowd.arrivalsPerHour = 2.0;
     cfg.flashCrowd.burstStart = 2 * workload::kWeek;

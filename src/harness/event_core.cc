@@ -2,7 +2,7 @@
 
 namespace pc::harness {
 
-EventCore::Handle
+void
 EventCore::schedule(SimTime time, std::size_t device, Continuation fn)
 {
     // Clamp instead of asserting: a handler that computes an arrival
@@ -12,33 +12,18 @@ EventCore::schedule(SimTime time, std::size_t device, Continuation fn)
     // timestamp in a monotone simulation.
     if (time < now_)
         time = now_;
-    return queue_.push(time, device, std::move(fn));
-}
-
-bool
-EventCore::cancel(Handle h)
-{
-    return queue_.cancel(h);
+    queue_.push(time, device, std::move(fn));
 }
 
 void
 EventCore::run()
 {
-    stopped_ = false;
-    while (!stopped_) {
-        auto ev = queue_.pop();
-        if (!ev.has_value())
-            break;
+    while (auto ev = queue_.pop()) {
         now_ = ev->key.time;
-        ++dispatched_;
-        EventInfo info;
-        info.time = ev->key.time;
-        info.device = ev->key.device;
-        info.seq = ev->key.seq;
         // The continuation may schedule() into the queue we are
-        // draining (the normal case) or cancel() pending handles —
-        // both touch only the queue, never this dispatch frame.
-        ev->payload(*this, info);
+        // draining (the normal case); that touches only the queue,
+        // never this dispatch frame.
+        ev->payload(*this);
     }
 }
 

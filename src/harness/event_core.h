@@ -2,11 +2,10 @@
  * @file
  * Discrete-event core for the fleet harness.
  *
- * The epoch-stepped harness advances every device one month at a
- * time; this engine replaces that outer loop with a global event
- * queue so sub-epoch structure — intra-day query bursts, staggered
- * sync storms, mid-month outages and reconnect herds — becomes
- * expressible. Two layers:
+ * The epoch loop advances every device one month at a time; this
+ * engine lets the flash-crowd driver (harness/fleet.cc) express
+ * sub-epoch structure instead — Poisson query bursts, mid-month
+ * outages, staggered reconnect herds. Two layers:
  *
  *  - **EventQueue<Payload>** — a binary min-heap of (key, payload)
  *    entries keyed by `EventKey{time, device, seq}`. `seq` is a
@@ -16,17 +15,14 @@
  *    That total order is the engine's whole determinism story: no
  *    wall clocks, no pointers, no iteration over hashed containers —
  *    a fixed schedule replays the same dispatch sequence on any
- *    machine. cancel() is lazy (the entry is dropped when it
- *    surfaces), so cancellation is O(1) and the heap shape stays a
- *    pure function of the push sequence.
+ *    machine.
  *
  *  - **EventCore** — the dispatch loop: continuations scheduled at a
  *    (time, device) pair run in key order; a running continuation may
  *    schedule further events (re-entrancy is the normal case — a
- *    query arrival schedules the next arrival) or cancel pending
- *    ones. Scheduling into the past clamps to now(): sim time never
- *    moves backwards, which the fleet fold and every TimeSeries
- *    window rely on.
+ *    query arrival schedules the next arrival). Scheduling into the
+ *    past clamps to now(): sim time never moves backwards, which the
+ *    fleet fold and every TimeSeries window rely on.
  *
  * Determinism rules (see DESIGN.md "Event-driven fleet"): handlers
  * must derive everything from sim state and seeded RNG streams;
@@ -42,7 +38,6 @@
 #include <cstddef>
 #include <functional>
 #include <optional>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -81,19 +76,15 @@ operator==(const EventKey &a, const EventKey &b)
 
 /**
  * Binary-heap priority queue of (EventKey, Payload). See the file
- * comment for the ordering and cancellation contract. Not
- * thread-safe by design: the fleet harness runs one queue per device
- * world (or one per single-threaded run) — sharing a queue across
- * workers would reintroduce scheduling-order nondeterminism.
+ * comment for the ordering contract. Not thread-safe by design: the
+ * fleet harness runs one queue per device world — sharing a queue
+ * across workers would reintroduce scheduling-order nondeterminism.
  */
 template <typename Payload>
 class EventQueue
 {
   public:
-    /** Token returned by push(), accepted by cancel(). */
-    using Handle = u64;
-
-    /** One popped event. */
+    /** One scheduled event. */
     struct Event
     {
         EventKey key;
@@ -101,133 +92,77 @@ class EventQueue
     };
 
     /** Schedule `payload` at (time, device). O(log n). */
-    Handle
+    void
     push(SimTime time, std::size_t device, Payload payload)
     {
-        Entry e;
+        Event e;
         e.key.time = time;
         e.key.device = device;
         e.key.seq = nextSeq_++;
         e.payload = std::move(payload);
-        const Handle h = e.key.seq;
         heap_.push_back(std::move(e));
         std::push_heap(heap_.begin(), heap_.end(), later);
-        live_.insert(h);
-        return h;
     }
 
-    /**
-     * Cancel a pending event. Lazy: the heap entry is skipped when it
-     * reaches the top. @return False if the handle was never issued,
-     * already popped, or already cancelled.
-     */
-    bool
-    cancel(Handle h)
-    {
-        return live_.erase(h) != 0;
-    }
-
-    /** Pending (non-cancelled) events. */
-    std::size_t size() const { return live_.size(); }
+    /** Pending events. */
+    std::size_t size() const { return heap_.size(); }
 
     /** True when no pending events remain. */
-    bool empty() const { return live_.empty(); }
+    bool empty() const { return heap_.empty(); }
 
-    /**
-     * Pop the earliest pending event (cancelled entries are discarded
-     * on the way). @return Empty when the queue is drained.
-     */
+    /** Pop the earliest pending event. @return Empty when drained. */
     std::optional<Event>
     pop()
     {
-        while (!heap_.empty()) {
-            std::pop_heap(heap_.begin(), heap_.end(), later);
-            Entry e = std::move(heap_.back());
-            heap_.pop_back();
-            if (live_.erase(e.key.seq) != 0) {
-                Event out;
-                out.key = e.key;
-                out.payload = std::move(e.payload);
-                return out;
-            }
-        }
-        return std::nullopt;
+        if (heap_.empty())
+            return std::nullopt;
+        std::pop_heap(heap_.begin(), heap_.end(), later);
+        Event e = std::move(heap_.back());
+        heap_.pop_back();
+        return e;
     }
 
   private:
-    struct Entry
-    {
-        EventKey key;
-        Payload payload;
-    };
-
     /** std::push_heap builds a max-heap; invert to pop earliest. */
     static bool
-    later(const Entry &a, const Entry &b)
+    later(const Event &a, const Event &b)
     {
         return b.key < a.key;
     }
 
-    std::vector<Entry> heap_;
-    std::unordered_set<Handle> live_; ///< Membership only — never iterated.
+    std::vector<Event> heap_;
     u64 nextSeq_ = 0;
 };
 
 /**
  * The dispatch engine: continuations in a single EventQueue, run to
- * exhaustion. One EventCore per device world in the parallel fleet
- * (workers share nothing), or one for a whole single-threaded
- * scenario.
+ * exhaustion. One EventCore per device world in the fleet (workers
+ * share nothing).
  */
 class EventCore
 {
   public:
-    /** What a continuation learns about its own dispatch. */
-    struct EventInfo
-    {
-        SimTime time = 0;      ///< Scheduled (possibly clamped) time.
-        std::size_t device = 0;
-        u64 seq = 0;
-    };
-
-    using Continuation = std::function<void(EventCore &, const EventInfo &)>;
-    using Handle = EventQueue<Continuation>::Handle;
+    using Continuation = std::function<void(EventCore &)>;
 
     /**
      * Schedule `fn` at (time, device). Times before now() clamp to
      * now() — sim time never runs backwards — and the continuation
      * then runs after every event already pending at now().
      */
-    Handle schedule(SimTime time, std::size_t device, Continuation fn);
-
-    /** Cancel a pending continuation (see EventQueue::cancel). */
-    bool cancel(Handle h);
+    void schedule(SimTime time, std::size_t device, Continuation fn);
 
     /**
-     * Dispatch until the queue is empty or stop() is called.
-     * Continuations may schedule() and cancel() freely (re-entrant).
-     * Safe to call again after it returns: run() resumes with
-     * whatever is pending.
+     * Dispatch until the queue is empty. Continuations may schedule()
+     * freely (re-entrant).
      */
     void run();
-
-    /** Ask the running loop to return after the current continuation. */
-    void stop() { stopped_ = true; }
 
     /** Time of the most recently dispatched event. */
     SimTime now() const { return now_; }
 
-    /** Pending continuations. */
-    std::size_t pending() const { return queue_.size(); }
-
-    /** Continuations dispatched so far. */
-    u64 dispatched() const { return dispatched_; }
-
   private:
     EventQueue<Continuation> queue_;
     SimTime now_ = 0;
-    u64 dispatched_ = 0;
-    bool stopped_ = false;
 };
 
 } // namespace pc::harness

@@ -103,9 +103,6 @@ validateFleetRunConfig(const FleetRunConfig &cfg)
         return "chaos needs a cloud service attached";
     const FlashCrowdConfig &fc = cfg.flashCrowd;
     if (fc.enabled) {
-        if (cfg.engine != FleetEngine::EventDriven)
-            return "flash crowd needs engine = EventDriven (the epoch "
-                   "harness cannot represent sub-epoch arrivals)";
         if (cfg.chaos.enabled)
             return "flash crowd and chaos cannot combine (chaos "
                    "invariants assume the epoch-granular schedule)";
@@ -172,15 +169,11 @@ devicePsConfig(const FleetRunConfig &cfg)
 }
 
 /**
- * One device's private simulation world plus the steps both engines
- * drive it with. The epoch loop calls beginMonth / serve-per-event /
- * endMonth directly; the event drivers schedule the *same member
- * functions* as continuations in an EventCore. Sharing the step
- * bodies is the structural half of the differential guarantee: with
- * an epoch-granular schedule the two engines execute the identical
- * operation sequence, so every registry mutation, RNG draw and
- * snapshot lands in the same order — fleet_differential_test proves
- * the resulting bytes match.
+ * One device's private simulation world plus the steps the two
+ * drivers run it with. The epoch loop (simulateDevice) calls
+ * beginMonth / serve-per-event / endMonth directly; driveFlashCrowd
+ * schedules beginMonth, serve and its outage and window steps as
+ * continuations in an EventCore.
  */
 class DeviceSim
 {
@@ -280,13 +273,13 @@ class DeviceSim
     void
     beginMonth(u32 m)
     {
-        const bool inOutage = cfg_.outageMonths > 0 &&
-                              m >= cfg_.outageStartMonth &&
-                              m < cfg_.outageStartMonth + cfg_.outageMonths;
+        // m - start, not start + len: the sum wraps in u32 for
+        // episodes that run to the end of any horizon.
+        const bool inOutage = m >= cfg_.outageStartMonth &&
+                              m - cfg_.outageStartMonth < cfg_.outageMonths;
         const bool inStorm =
-            chaos_ && cfg_.chaos.stormMonths > 0 &&
-            m >= cfg_.chaos.stormStartMonth &&
-            m < cfg_.chaos.stormStartMonth + cfg_.chaos.stormMonths;
+            chaos_ && m >= cfg_.chaos.stormStartMonth &&
+            m - cfg_.chaos.stormStartMonth < cfg_.chaos.stormMonths;
         if (!inStorm)
             ++nonStormMonths_;
         if (!cfg_.flashCrowd.enabled) {
@@ -487,60 +480,7 @@ class DeviceSim
 };
 
 /**
- * EventDriven engine, epoch-granular schedule: the exact month
- * structure of the epoch loop expressed as continuations. MonthBegin
- * schedules the month's query arrivals (timestamps clamped to a
- * running maximum so the heap's (time, device, seq) order replays the
- * stream's generation order even across duplicate timestamps) and the
- * MonthEnd boundary event; MonthEnd schedules the next MonthBegin at
- * the *same* boundary instant — the seq tie-break guarantees epilogue
- * before prologue, which the differential gate would instantly catch
- * if it ever regressed.
- */
-void
-driveEpochSchedule(DeviceSim &sim, const FleetRunConfig &cfg,
-                   std::size_t i)
-{
-    EventCore core;
-    std::function<void(EventCore &, u32)> beginMonth =
-        [&](EventCore &c, u32 m) {
-            sim.beginMonth(m);
-            const SimTime windowStart = SimTime(m) * workload::kMonth;
-            SimTime cursor = windowStart;
-            for (const auto &ev : sim.monthEvents(m)) {
-                cursor = std::max(cursor, ev.time);
-                c.schedule(cursor, i,
-                           [&sim, ev](EventCore &,
-                                      const EventCore::EventInfo &) {
-                               sim.serve(ev);
-                           });
-            }
-            const SimTime boundary = windowStart + workload::kMonth;
-            c.schedule(
-                boundary, i,
-                [&sim, &beginMonth, &cfg, m,
-                 i](EventCore &c2, const EventCore::EventInfo &) {
-                    sim.endMonth(m);
-                    if (m + 1 < cfg.months)
-                        c2.schedule(c2.now(), i,
-                                    [&beginMonth, m](
-                                        EventCore &c3,
-                                        const EventCore::EventInfo &) {
-                                        beginMonth(c3, m + 1);
-                                    });
-                });
-        };
-    if (cfg.months > 0)
-        core.schedule(0, i,
-                      [&beginMonth](EventCore &c,
-                                    const EventCore::EventInfo &) {
-                          beginMonth(c, 0);
-                      });
-    core.run();
-}
-
-/**
- * EventDriven engine, flash-crowd schedule: Poisson query arrivals
+ * Flash-crowd driver, on the event core: Poisson query arrivals
  * (thinning against the burst-boosted peak rate), a mid-month radio
  * outage with per-device staggered reconnect, monthly cloud syncs at
  * month-begin events, and telemetry snapshots on the scenario's own
@@ -564,25 +504,19 @@ driveFlashCrowd(DeviceSim &sim, const FleetRunConfig &cfg, std::size_t i)
     for (SimTime ws = 0; ws < horizon; ws += width) {
         const SimTime end = std::min(ws + width, horizon);
         core.schedule(end, i,
-                      [&sim, ws](EventCore &,
-                                 const EventCore::EventInfo &) {
-                          sim.snapshotWindow(ws);
-                      });
+                      [&sim, ws](EventCore &) { sim.snapshotWindow(ws); });
     }
 
     for (u32 m = 0; m < cfg.months; ++m)
         core.schedule(SimTime(m) * workload::kMonth, i,
-                      [&sim, m](EventCore &,
-                                const EventCore::EventInfo &) {
+                      [&sim, m](EventCore &) {
                           sim.beginMonth(m);
                           sim.beginStreamMonth(m);
                       });
 
     if (fc.outageLen > 0 && fc.outageStart < horizon) {
         core.schedule(fc.outageStart, i,
-                      [&sim](EventCore &, const EventCore::EventInfo &) {
-                          sim.radioDown();
-                      });
+                      [&sim](EventCore &) { sim.radioDown(); });
         // Staggered reconnect: device i's slot; clamped so the drain
         // still happens inside the run.
         const SimTime outageEnd =
@@ -595,9 +529,7 @@ driveFlashCrowd(DeviceSim &sim, const FleetRunConfig &cfg, std::size_t i)
                                                   : SimTime(slot);
         }
         core.schedule(reconnectAt, i,
-                      [&sim](EventCore &, const EventCore::EventInfo &) {
-                          sim.reconnect();
-                      });
+                      [&sim](EventCore &) { sim.reconnect(); });
     }
 
     // Poisson arrival chain: each arrival schedules its successor.
@@ -633,8 +565,7 @@ driveFlashCrowd(DeviceSim &sim, const FleetRunConfig &cfg, std::size_t i)
             }
             const SimTime at = SimTime(t);
             c.schedule(at, i,
-                       [&sim, &scheduleNext, at](
-                           EventCore &c2, const EventCore::EventInfo &) {
+                       [&sim, &scheduleNext, at](EventCore &c2) {
                            workload::StreamEvent se =
                                sim.nextArrivalPair();
                            se.time = at;
@@ -647,7 +578,8 @@ driveFlashCrowd(DeviceSim &sim, const FleetRunConfig &cfg, std::size_t i)
 }
 
 /**
- * Simulate device `i` in a private world under the configured engine.
+ * Simulate device `i` in a private world: month by month on the
+ * epoch loop, or on the event core when the run is a flash crowd.
  * Reads the workbench, the community image and the cloud service (if
  * any) strictly read-only, so any number of these may run
  * concurrently.
@@ -658,17 +590,15 @@ simulateDevice(const Workbench &wb, const FleetRunConfig &cfg,
                const core::CommunityImage *image)
 {
     DeviceSim sim(wb, cfg, i, profile, image);
-    if (cfg.engine == FleetEngine::EpochStepped) {
+    if (cfg.flashCrowd.enabled) {
+        driveFlashCrowd(sim, cfg, i);
+    } else {
         for (u32 m = 0; m < cfg.months; ++m) {
             sim.beginMonth(m);
             for (const auto &ev : sim.monthEvents(m))
                 sim.serve(ev);
             sim.endMonth(m);
         }
-    } else if (!cfg.flashCrowd.enabled) {
-        driveEpochSchedule(sim, cfg, i);
-    } else {
-        driveFlashCrowd(sim, cfg, i);
     }
     return sim.finish();
 }
@@ -805,7 +735,7 @@ runFleet(const Workbench &wb, const FleetRunConfig &cfg,
     // A 0-device fleet (or a 0-month horizon, which samples devices
     // but simulates nothing) is a clean empty run, not an error: the
     // in-place path folds zero (or all-zero) devices and the cloud
-    // registry still merges below — identically under both engines.
+    // registry still merges below.
     if (std::size_t(threads) > cfg.devices)
         threads = cfg.devices > 0 ? unsigned(cfg.devices) : 1;
 

@@ -9,6 +9,12 @@
  * windowed time series (one window per simulated month) and an
  * anomaly scan.
  *
+ * Drivers: each device runs the month-granular epoch loop (begin
+ * month, serve the month's stream, end month) unless
+ * `flashCrowd.enabled`, in which case its flash-crowd schedule runs
+ * on the discrete-event core (harness/event_core.h). The config
+ * alone picks the driver.
+ *
  * Parallelism: device indices are sharded across a pool of
  * `FleetRunConfig::threads` workers over a bounded server::WorkQueue.
  * Each worker simulates whole devices in a private world (device,
@@ -137,31 +143,11 @@ struct ChaosConfig
 };
 
 /**
- * Which engine drives each device's simulated horizon.
- *
- * `EpochStepped` (the default) is the original month-granular loop.
- * `EventDriven` replays the *same* schedule through the discrete-event
- * core (harness/event_core.h): month begins, query arrivals, month
- * ends become continuations in a per-device event queue keyed by
- * (time, deviceIndex, seq). With an epoch-granular schedule — i.e.
- * `flashCrowd` disabled — the two engines execute the identical
- * operation sequence per device, so every artifact (snapshots, series
- * and anomaly CSVs, postmortems, BENCH JSON) is byte-identical
- * between them at any thread count; fleet_differential_test gates
- * that over a devices x months x threads x chaos grid. Only the
- * event engine can express sub-epoch structure (FlashCrowdConfig).
- */
-enum class FleetEngine
-{
-    EpochStepped,
-    EventDriven,
-};
-
-/**
- * Flash-crowd query storm: the first genuinely event-driven scenario,
- * requiring `FleetRunConfig::engine == EventDriven` (the epoch
- * harness cannot represent sub-month arrivals; validation rejects the
- * combination). Per device, query arrivals become a seeded Poisson
+ * Flash-crowd query storm: the fleet's event-driven scenario. Enabling
+ * it moves every device off the month-granular epoch loop onto the
+ * discrete-event core (harness/event_core.h), because the epoch loop
+ * cannot represent sub-month arrivals. Per device, query arrivals
+ * become a seeded Poisson
  * process (thinning against the burst-boosted peak rate) instead of
  * the stream's evenly-spread monthly volume; the stream still supplies
  * *which* pair each arrival issues, so hot-set/repeat behaviour and
@@ -263,15 +249,9 @@ struct FleetRunConfig
     std::size_t recorderCapacity = obs::FlightRecorder::kDefaultCapacity;
 
     /**
-     * Simulation engine (see FleetEngine). EpochStepped keeps every
-     * previously committed baseline byte-identical; EventDriven with
-     * `flashCrowd` disabled reproduces them too — differentially
-     * gated — and with `flashCrowd` enabled opens the sub-epoch
-     * scenarios only an event queue can express.
+     * Flash-crowd scenario (see FlashCrowdConfig). Enabled, it selects
+     * the event-core driver; disabled, devices run the epoch loop.
      */
-    FleetEngine engine = FleetEngine::EpochStepped;
-
-    /** Flash-crowd scenario (EventDriven only; see FlashCrowdConfig). */
     FlashCrowdConfig flashCrowd{};
 
     /**
@@ -335,9 +315,9 @@ struct FleetRunResult
  * months execute nothing and report zeros); otherwise a one-line
  * reason. Degenerate schedules that clamp harmlessly (outage episodes
  * longer than the horizon, burst windows straddling the end) are
- * valid; combinations the engines cannot honor (chaos without a cloud
- * service, flash crowd on the epoch engine, non-finite or negative
- * rates) are errors. runFleet() checks this itself and returns the
+ * valid; combinations the drivers cannot honor (chaos without a cloud
+ * service, flash crowd with chaos or an epoch outage episode,
+ * non-finite or negative rates) are errors. runFleet() checks this itself and returns the
  * reason in FleetRunResult::error instead of asserting.
  */
 std::string validateFleetRunConfig(const FleetRunConfig &cfg);

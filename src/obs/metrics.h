@@ -81,11 +81,6 @@ class Gauge
  * within the sketch's epsilon() of the exact empirical quantiles —
  * and are bit-exact until the stream outgrows the sketch's first
  * buffer, which keeps small unit-test streams exact.
- *
- * Tests that need true quantiles on larger streams can opt into exact
- * mode (MetricRegistry::exactHistogram), which stores the full sample
- * in an EmpiricalCdf exactly as before. Exact mode is the opt-in
- * exception, not the default: its memory is unbounded.
  */
 class Histogram
 {
@@ -95,10 +90,7 @@ class Histogram
     observe(double x)
     {
         stat_.add(x);
-        if (exact_)
-            cdf_.add(x);
-        else
-            sketch_.add(x);
+        sketch_.add(x);
     }
 
     /** Number of observations. */
@@ -111,53 +103,38 @@ class Histogram
     double max() const { return stat_.max(); }
     /** Sum of observations. */
     double sum() const { return stat_.sum(); }
-    /** q-quantile (exact in exact mode, else sketched); 0 when empty. */
-    double quantile(double q) const;
+    /** Sketched q-quantile; 0 when empty. */
+    double quantile(double q) const { return sketch_.quantile(q); }
 
     /** Moments accumulator. */
     const RunningStat &stat() const { return stat_; }
 
-    /** True when this histogram stores the full sample. */
-    bool exact() const { return exact_; }
+    /** The quantile sketch. */
+    const QuantileSketch &sketch() const { return sketch_; }
 
-    /** The quantile sketch. @pre !exact(). */
-    const QuantileSketch &sketch() const;
-
-    /** Stored sample. @pre exact(). */
-    const EmpiricalCdf &cdf() const;
+    /** Items currently stored, bounded by the sketch cap. */
+    std::size_t retained() const { return sketch_.retained(); }
 
     /**
-     * Samples/items currently stored: bounded by the sketch cap in
-     * sketch mode, equal to count() in exact mode.
+     * Fold another histogram's observations into this one: moments
+     * combine exactly, sketches merge.
      */
-    std::size_t retained() const
+    void
+    mergeFrom(const Histogram &other)
     {
-        return exact_ ? cdf_.size() : sketch_.retained();
+        stat_.merge(other.stat_);
+        sketch_.mergeFrom(other.sketch_);
     }
-
-    /**
-     * Fold another histogram's observations into this one. Exact
-     * mode merges exactly (sample union); sketch mode merges sketches
-     * (and accepts an exact source by re-adding its samples). Merging
-     * a sketch-mode source into an exact-mode target is a fatal
-     * configuration error — the samples no longer exist.
-     */
-    void mergeFrom(const Histogram &other);
 
     /** Registered name. */
     const std::string &name() const { return name_; }
 
   private:
     friend class MetricRegistry;
-    explicit Histogram(std::string name, bool exact = false)
-        : name_(std::move(name)), exact_(exact)
-    {
-    }
+    explicit Histogram(std::string name) : name_(std::move(name)) {}
     std::string name_;
-    bool exact_;
     RunningStat stat_;
     QuantileSketch sketch_;
-    EmpiricalCdf cdf_;
 };
 
 /** Flattened summary of one Histogram at snapshot time. */
@@ -221,13 +198,6 @@ class MetricRegistry
     Gauge &gauge(const std::string &name);
     /** Find-or-create a histogram (bounded sketch quantiles). */
     Histogram &histogram(const std::string &name);
-    /**
-     * Find-or-create a histogram that stores its full sample for
-     * exact quantiles (unbounded memory — tests and small streams
-     * only). Requesting a name already registered in sketch mode (or
-     * vice versa) is a fatal configuration error.
-     */
-    Histogram &exactHistogram(const std::string &name);
 
     /** Lookup without creating; nullptr when absent. */
     const Counter *findCounter(const std::string &name) const;
@@ -239,9 +209,8 @@ class MetricRegistry
 
     /**
      * Fold another registry in: counters add, gauges overwrite,
-     * histograms merge (exact sample union in exact mode, sketch
-     * merge otherwise — see Histogram::mergeFrom for the mixed-mode
-     * rules). Metrics absent here are created in the source's mode.
+     * histograms merge (see Histogram::mergeFrom). Metrics absent here
+     * are created first.
      */
     void mergeFrom(const MetricRegistry &other);
 

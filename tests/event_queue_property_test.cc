@@ -1,23 +1,22 @@
 /**
  * @file
- * Property test for the event queue: seeded random insert / pop /
- * cancel interleavings — with deliberately colliding timestamps and
- * device indices — must match a sorted-vector reference model exactly,
- * operation by operation: same pop keys, same payloads, same cancel
- * verdicts, same sizes. Plus heap-order invariants (pop keys never
- * decrease) and a continuation re-entrancy soak on EventCore: random
- * schedules and cancels issued from *inside* running continuations,
- * checked against the same reference ordering.
+ * Property test for the event queue: seeded random insert / pop
+ * interleavings — with deliberately colliding timestamps and device
+ * indices — must match a sorted-vector reference model exactly,
+ * operation by operation: same pop keys, same payloads, same sizes.
+ * Plus heap-order invariants (drain keys strictly increase), an
+ * equal-key storm that must pop in push order, and a continuation
+ * re-entrancy soak on EventCore: random schedules issued from *inside*
+ * running continuations, some into the past.
  *
  * Labelled `slow`: the interleaving loops are sized for the ASan/TSan
- * CI tiers, where the minutes buy real coverage of the lazy-cancel
+ * CI tiers, where the minutes buy real coverage of the heap
  * bookkeeping.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 #include <optional>
 #include <vector>
 
@@ -31,7 +30,7 @@ namespace {
 class ReferenceQueue
 {
   public:
-    u64
+    void
     push(SimTime time, std::size_t device, u64 payload)
     {
         Entry e;
@@ -40,19 +39,6 @@ class ReferenceQueue
         e.key.seq = nextSeq_++;
         e.payload = payload;
         entries_.push_back(e);
-        return e.key.seq;
-    }
-
-    bool
-    cancel(u64 handle)
-    {
-        for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-            if (it->key.seq == handle) {
-                entries_.erase(it);
-                return true;
-            }
-        }
-        return false;
     }
 
     std::optional<std::pair<EventKey, u64>>
@@ -87,25 +73,19 @@ TEST(EventQueueProperty, RandomInterleavingsMatchReferenceModel)
         Rng rng(seed * 0x9E3779B97F4A7C15ull);
         EventQueue<u64> q;
         ReferenceQueue ref;
-        std::vector<u64> liveHandles;
         u64 payload = 0;
 
         const int ops = 4000;
         for (int op = 0; op < ops; ++op) {
-            const u64 kind = rng.below(10);
-            if (kind < 5) {
+            if (rng.below(8) < 5) {
                 // Insert. Tiny time/device domains force equal-key
                 // runs through the tie-break path constantly.
                 const SimTime t = SimTime(rng.below(16));
                 const std::size_t dev = std::size_t(rng.below(4));
-                const u64 h = q.push(t, dev, payload);
-                const u64 rh = ref.push(t, dev, payload);
-                ASSERT_EQ(h, rh)
-                    << "handle sequences must match (seed " << seed
-                    << ")";
-                liveHandles.push_back(h);
+                q.push(t, dev, payload);
+                ref.push(t, dev, payload);
                 ++payload;
-            } else if (kind < 8) {
+            } else {
                 // Pop. Both sides must agree on key and payload.
                 const auto got = q.pop();
                 const auto want = ref.pop();
@@ -115,31 +95,7 @@ TEST(EventQueueProperty, RandomInterleavingsMatchReferenceModel)
                         << "pop key diverged at op " << op << " (seed "
                         << seed << ")";
                     ASSERT_EQ(got->payload, want->second);
-                    liveHandles.erase(
-                        std::remove(liveHandles.begin(),
-                                    liveHandles.end(), got->key.seq),
-                        liveHandles.end());
                 }
-            } else {
-                // Cancel: half the time a plausible live handle, half
-                // the time garbage (stale, future, or random).
-                u64 h;
-                if (!liveHandles.empty() && rng.below(2) == 0) {
-                    const std::size_t at =
-                        std::size_t(rng.below(liveHandles.size()));
-                    h = liveHandles[at];
-                } else {
-                    h = rng.below(payload + 10);
-                }
-                const bool got = q.cancel(h);
-                const bool want = ref.cancel(h);
-                ASSERT_EQ(got, want)
-                    << "cancel(" << h << ") verdict diverged (seed "
-                    << seed << ")";
-                if (got)
-                    liveHandles.erase(std::remove(liveHandles.begin(),
-                                                  liveHandles.end(), h),
-                                      liveHandles.end());
             }
             ASSERT_EQ(q.size(), ref.size());
             ASSERT_EQ(q.empty(), ref.size() == 0);
@@ -170,100 +126,73 @@ TEST(EventQueueProperty, RandomInterleavingsMatchReferenceModel)
 TEST(EventQueueProperty, EqualTimestampStormPopsInPushOrder)
 {
     // Degenerate heap shape: thousands of identical (time, device)
-    // keys with random cancellations sprinkled in. Pop order must be
-    // exactly push order minus the cancelled ones.
+    // keys, pushed and popped in random bursts. Every pop must return
+    // the oldest payload still queued — exact push order.
     for (u64 seed = 1; seed <= 10; ++seed) {
         Rng rng(seed);
         EventQueue<u64> q;
-        std::vector<u64> handles;
-        for (u64 i = 0; i < 3000; ++i)
-            handles.push_back(q.push(99, 1, i));
-        std::vector<bool> cancelled(handles.size(), false);
-        for (int c = 0; c < 700; ++c) {
-            const std::size_t at =
-                std::size_t(rng.below(handles.size()));
-            if (!cancelled[at]) {
-                ASSERT_TRUE(q.cancel(handles[at]));
-                cancelled[at] = true;
+        u64 pushed = 0, expect = 0;
+        while (pushed < 3000) {
+            for (u64 n = rng.below(64); n > 0 && pushed < 3000; --n)
+                q.push(99, 1, pushed++);
+            for (u64 n = rng.below(48); n > 0; --n) {
+                const auto ev = q.pop();
+                if (!ev.has_value())
+                    break;
+                ASSERT_EQ(ev->payload, expect++);
             }
         }
-        u64 expect = 0;
-        while (auto ev = q.pop()) {
-            while (expect < cancelled.size() && cancelled[expect])
-                ++expect;
-            ASSERT_LT(expect, cancelled.size());
-            ASSERT_EQ(ev->payload, expect);
-            ++expect;
-        }
-        while (expect < cancelled.size() && cancelled[expect])
-            ++expect;
-        ASSERT_EQ(expect, cancelled.size());
+        while (const auto ev = q.pop())
+            ASSERT_EQ(ev->payload, expect++);
+        ASSERT_EQ(expect, pushed);
     }
 }
 
-TEST(EventCoreProperty, ReentrantScheduleAndCancelSoak)
+TEST(EventCoreProperty, ReentrantScheduleSoak)
 {
     // Continuations that schedule new continuations (at clamped-past,
-    // present and future instants) and cancel random pending handles
-    // while the loop drains. Invariants: dispatch times never
-    // decrease, every dispatched seq was scheduled and never
-    // cancelled, and the loop terminates with an empty queue.
+    // present and future instants) while the loop drains. Invariants:
+    // dispatch times never decrease, each continuation runs at its
+    // requested time clamped to the schedule-time now(), every
+    // schedule() dispatches exactly once, and the loop terminates.
     for (u64 seed = 1; seed <= 20; ++seed) {
         Rng rng(seed * 7919);
         EventCore core;
-        std::vector<u64> pending;
-        std::vector<u64> cancelledSeqs;
-        std::vector<u64> dispatchedSeqs;
+        std::vector<int> runs;
         SimTime lastTime = -1;
         u64 budget = 600; // spawn allowance, so the soak terminates
 
-        std::function<void(EventCore &, int)> spawn =
-            [&](EventCore &c, int depth) {
-                const SimTime at = c.now() + SimTime(rng.below(8)) -
-                                   2; // sometimes in the past: clamps
-                const auto h = c.schedule(
-                    at, std::size_t(rng.below(3)),
-                    [&, depth](EventCore &c2,
-                               const EventCore::EventInfo &info) {
-                        EXPECT_GE(info.time, lastTime);
-                        lastTime = info.time;
-                        dispatchedSeqs.push_back(info.seq);
-                        // Re-entrancy: schedule up to two successors
-                        // and cancel a random victim.
-                        const u64 spawns = rng.below(3);
-                        for (u64 s = 0; s < spawns && budget > 0; ++s) {
-                            --budget;
-                            spawn(c2, depth + 1);
-                        }
-                        if (!pending.empty() && rng.below(4) == 0) {
-                            const u64 victim = pending[std::size_t(
-                                rng.below(pending.size()))];
-                            if (c2.cancel(victim))
-                                cancelledSeqs.push_back(victim);
-                        }
-                    });
-                pending.push_back(h);
-            };
+        std::function<void(EventCore &)> spawn = [&](EventCore &c) {
+            const SimTime at = c.now() + SimTime(rng.below(8)) -
+                               2; // sometimes in the past: clamps
+            const SimTime want = std::max(at, c.now());
+            const std::size_t id = runs.size();
+            runs.push_back(0);
+            c.schedule(at, std::size_t(rng.below(3)),
+                       [&, want, id](EventCore &c2) {
+                           EXPECT_EQ(c2.now(), want);
+                           EXPECT_GE(c2.now(), lastTime);
+                           lastTime = c2.now();
+                           ++runs[id];
+                           // Re-entrancy: schedule up to two successors.
+                           const u64 spawns = rng.below(3);
+                           for (u64 s = 0; s < spawns && budget > 0; ++s) {
+                               --budget;
+                               spawn(c2);
+                           }
+                       });
+        };
 
         for (int i = 0; i < 40 && budget > 0; ++i) {
             --budget;
-            spawn(core, 0);
+            spawn(core);
         }
         core.run();
 
-        EXPECT_EQ(core.pending(), 0u);
-        // No seq both dispatched and cancelled; together they cover
-        // every schedule() exactly once.
-        std::map<u64, int> fate;
-        for (u64 s : dispatchedSeqs)
-            ++fate[s];
-        for (u64 s : cancelledSeqs)
-            ++fate[s];
-        for (const auto &[seq, count] : fate)
-            ASSERT_EQ(count, 1) << "seq " << seq
-                                << " dispatched/cancelled twice (seed "
-                                << seed << ")";
-        EXPECT_EQ(fate.size(), pending.size());
+        for (std::size_t id = 0; id < runs.size(); ++id)
+            ASSERT_EQ(runs[id], 1) << "continuation " << id
+                                   << " ran " << runs[id]
+                                   << " times (seed " << seed << ")";
     }
 }
 

@@ -8,8 +8,10 @@
  * never UB, a hang, or a crash. Same discipline as
  * jsonparse_fuzz_test: seeded deterministic generators, every input
  * either rejected with a message or executed to completion with sane
- * invariants. The world is tiny (2–4 devices) so the whole sweep
- * stays in the fast tier.
+ * invariants. Outage episodes and chaos storms of UINT32_MAX months
+ * must degrade exactly like 100-month ones: the month-window test may
+ * not wrap. The world is tiny (2–4 devices) so the whole sweep stays
+ * in the fast tier.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +19,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "harness/fleet.h"
 #include "obs/fleet.h"
@@ -67,12 +70,10 @@ TEST(FleetEventFuzz, NamedAdversarialShapes)
     const SimTime horizon2m = 2 * workload::kMonth;
 
     {
-        // Zero devices, both engines.
+        // Zero devices.
         FleetRunConfig cfg;
         cfg.devices = 0;
         cfg.months = 2;
-        EXPECT_EQ(mustRunClean(cfg), "");
-        cfg.engine = FleetEngine::EventDriven;
         EXPECT_EQ(mustRunClean(cfg), "");
     }
     {
@@ -80,8 +81,6 @@ TEST(FleetEventFuzz, NamedAdversarialShapes)
         FleetRunConfig cfg;
         cfg.devices = 2;
         cfg.months = 0;
-        EXPECT_EQ(mustRunClean(cfg), "");
-        cfg.engine = FleetEngine::EventDriven;
         EXPECT_EQ(mustRunClean(cfg), "");
         cfg.flashCrowd.enabled = true;
         cfg.flashCrowd.arrivalsPerHour = 5.0;
@@ -95,14 +94,11 @@ TEST(FleetEventFuzz, NamedAdversarialShapes)
         cfg.outageStartMonth = 0;
         cfg.outageMonths = 100000;
         EXPECT_EQ(mustRunClean(cfg), "");
-        cfg.engine = FleetEngine::EventDriven;
-        EXPECT_EQ(mustRunClean(cfg), "");
     }
     {
         // Flash-crowd outage longer than the horizon, reconnect
         // stagger pushing every reconnect past the end.
         FleetRunConfig cfg;
-        cfg.engine = FleetEngine::EventDriven;
         cfg.devices = 3;
         cfg.months = 2;
         cfg.flashCrowd.enabled = true;
@@ -119,7 +115,6 @@ TEST(FleetEventFuzz, NamedAdversarialShapes)
              {horizon2m - workload::kWeek, horizon2m,
               horizon2m + workload::kMonth}) {
             FleetRunConfig cfg;
-            cfg.engine = FleetEngine::EventDriven;
             cfg.devices = 2;
             cfg.months = 2;
             cfg.flashCrowd.enabled = true;
@@ -134,7 +129,6 @@ TEST(FleetEventFuzz, NamedAdversarialShapes)
         // Degenerate rates: zero arrivals (silent fleet), zero burst
         // multiplier (burst window goes quiet instead of loud).
         FleetRunConfig cfg;
-        cfg.engine = FleetEngine::EventDriven;
         cfg.devices = 2;
         cfg.months = 1;
         cfg.flashCrowd.enabled = true;
@@ -150,10 +144,7 @@ TEST(FleetEventFuzz, NamedAdversarialShapes)
         // Invalid shapes must be refused with a message, not UB.
         FleetRunConfig cfg;
         cfg.devices = 2;
-        cfg.flashCrowd.enabled = true; // epoch engine
-        EXPECT_NE(mustRunClean(cfg), "");
-
-        cfg.engine = FleetEngine::EventDriven;
+        cfg.flashCrowd.enabled = true;
         cfg.flashCrowd.arrivalsPerHour =
             std::numeric_limits<double>::quiet_NaN();
         EXPECT_NE(mustRunClean(cfg), "");
@@ -177,9 +168,64 @@ TEST(FleetEventFuzz, NamedAdversarialShapes)
     }
 }
 
+/** Run `cfg` to completion; the scalars plus the series CSV. */
+std::pair<FleetRunResult, std::string>
+runWithSeries(const FleetRunConfig &cfg)
+{
+    obs::FleetConfig fc;
+    fc.windowWidth = workload::kMonth;
+    obs::FleetCollector collector(fc);
+    FleetRunResult r = runFleet(sharedWorkbench(), cfg, collector);
+    EXPECT_EQ(r.error, "");
+    std::ostringstream os;
+    collector.writeSeriesCsv(os);
+    return {std::move(r), os.str()};
+}
+
+TEST(FleetEventFuzz, OutageOfU32MaxMonthsLastsToTheHorizon)
+{
+    // start + length wraps in u32; the episode must still cover every
+    // month from its start, exactly like any other over-long episode.
+    FleetRunConfig cfg;
+    cfg.devices = 3;
+    cfg.months = 3;
+    cfg.outageStartMonth = 1;
+    cfg.outageMonths = 100;
+    const auto [longRun, longSeries] = runWithSeries(cfg);
+    cfg.outageMonths = std::numeric_limits<u32>::max();
+    const auto [maxRun, maxSeries] = runWithSeries(cfg);
+    EXPECT_GT(longRun.degradedServes, 0u);
+    EXPECT_EQ(maxRun.degradedServes, longRun.degradedServes);
+    EXPECT_TRUE(maxSeries == longSeries) << "series CSV differs";
+}
+
+TEST(FleetEventFuzz, ChaosStormOfU32MaxMonthsLastsToTheHorizon)
+{
+    const Workbench &wb = sharedWorkbench();
+    const auto run = [&](u32 stormMonths) {
+        server::CloudUpdateService svc(wb.universe());
+        svc.ingest(wb.buildLog());
+        FleetRunConfig cfg;
+        cfg.devices = 3;
+        cfg.months = 3;
+        cfg.cloud = &svc;
+        cfg.chaos.enabled = true;
+        cfg.chaos.stormStartMonth = 1;
+        cfg.chaos.stormMonths = stormMonths;
+        return runWithSeries(cfg);
+    };
+    const auto [longRun, longSeries] = run(100);
+    const auto [maxRun, maxSeries] = run(std::numeric_limits<u32>::max());
+    EXPECT_GT(longRun.degradedServes, 0u);
+    EXPECT_EQ(maxRun.degradedServes, longRun.degradedServes);
+    EXPECT_EQ(maxRun.cloudSyncs, longRun.cloudSyncs);
+    EXPECT_EQ(maxRun.cloudSyncFailures, longRun.cloudSyncFailures);
+    EXPECT_TRUE(maxSeries == longSeries) << "series CSV differs";
+}
+
 TEST(FleetEventFuzz, SeededRandomConfigsNeverMisbehave)
 {
-    // 120 seeded random configs across both engines. Values are drawn
+    // 120 seeded random configs, flash crowd on or off. Values are drawn
     // from ranges that include every clamping edge (0, exactly the
     // horizon, far past it). Each either validates cleanly and runs
     // to completion, or is refused with a message.
@@ -194,11 +240,10 @@ TEST(FleetEventFuzz, SeededRandomConfigsNeverMisbehave)
         cfg.outageStartMonth = u32(rng.below(4));
         cfg.outageMonths = u32(rng.below(3)) == 0 ? u32(rng.below(200))
                                                   : u32(rng.below(3));
-        cfg.engine = rng.below(2) == 0 ? FleetEngine::EpochStepped
-                                       : FleetEngine::EventDriven;
+        // Spare draw: keeps each seed's config what it always was.
+        rng.below(2);
         if (rng.below(2) == 0) {
             cfg.flashCrowd.enabled = true;
-            cfg.engine = FleetEngine::EventDriven;
             cfg.outageMonths = 0;
             cfg.flashCrowd.arrivalsPerHour = double(rng.below(12));
             cfg.flashCrowd.burstMultiplier = double(rng.below(30));
