@@ -15,7 +15,7 @@
  *    p99 grows with the failure rate, and only the residual share of
  *    queries (all retries exhausted) degrades;
  *  - the counter ledger balances: every injected fault is accounted
- *    for by a device resilience counter.
+ *    for by a device counter in the same metrics registry.
  *
  * Everything is seeded; two runs of this binary print identical bytes.
  */
@@ -46,16 +46,18 @@ struct SweepResult
     u64 synced = 0;
     double missP99Ms = 0.0;
     double meanEnergyMj = 0.0;
-    fault::InjectedStats injected;
-    ResilienceStats resilience;
+    /** Injected ("fault.*") and device ("device.*") counters. */
+    obs::MetricsSnapshot ledger;
 };
 
 SweepResult
 runPoint(harness::Workbench &wb,
          const std::vector<workload::StreamEvent> &events, SweepPoint pt)
 {
+    obs::MetricRegistry reg;
     MobileDevice device(wb.universe());
     device.installCommunityCache(wb.communityCache());
+    device.attachMetrics(&reg);
 
     fault::FaultConfig fc;
     fc.seed = 42; // one fixed seed per point: byte-identical reruns
@@ -92,8 +94,8 @@ runPoint(harness::Workbench &wb,
 
     res.missP99Ms = miss_ms.size() ? miss_ms.quantile(0.99) : 0.0;
     res.meanEnergyMj = energy / double(res.queries) / 1000.0;
-    res.injected = plan.stats();
-    res.resilience = device.resilience();
+    plan.publishMetrics(reg);
+    res.ledger = reg.snapshot();
     return res;
 }
 
@@ -147,8 +149,8 @@ main()
                strformat("%llu", (unsigned long long)r.synced),
                strformat("%.1f s", r.missP99Ms / 1000.0),
                strformat("%.1f mJ", r.meanEnergyMj),
-               strformat("%llu",
-                         (unsigned long long)r.resilience.retries)});
+               strformat("%llu", (unsigned long long)r.ledger.counterValue(
+                                     "device.radio.retries"))});
         const double badness = pt.outageShare + pt.failureRate;
         if (badness > worst_badness) {
             worst_badness = badness;
@@ -161,15 +163,14 @@ main()
     // what the device did about them on the other. The invariants the
     // tests enforce (failed == injected failures, degraded == stale +
     // offline, queued == synced + still-queued) are visible here.
-    CounterBag merged;
-    merged.set("fault.outage_attempts", worst.injected.outageAttempts);
-    merged.set("fault.exchange_failures", worst.injected.exchangeFailures);
-    merged.set("fault.latency_spikes", worst.injected.latencySpikes);
-    merged.set("fault.bit_flips", worst.injected.bitFlips);
-    merged.set("fault.crashes", worst.injected.crashes);
-    merged.merge(worst.resilience.toCounters());
-    harness::printCounterReport(
-        "Fault ledger at the harshest sweep point", merged);
+    obs::MetricsSnapshot ledger;
+    for (const auto &c : worst.ledger.counters) {
+        if (c.first.rfind("fault.", 0) == 0 ||
+            c.first.rfind("device.", 0) == 0)
+            ledger.counters.push_back(c);
+    }
+    harness::printMetricsReport("Fault ledger at the harshest sweep point",
+                                ledger);
 
     std::printf("\nCache hits never touch the radio, so the pocket "
                 "cloudlet's local serves are immune to every\nrow of "

@@ -31,8 +31,8 @@ main()
     Rng seeder(404);
     RunningStat offline_rate;
     RunningStat hit_ms;
-    u64 stale = 0, offline_pages = 0, queued = 0, synced = 0;
-    CounterBag counters;
+    // One registry across all phones: the device counters add up.
+    obs::MetricRegistry reg;
     for (int u = 0; u < 12; ++u) {
         Rng ur = seeder.fork();
         const auto profile = sampler.sampleUser(ur);
@@ -42,6 +42,7 @@ main()
 
         MobileDevice phone(wb.universe());
         phone.installCommunityCache(wb.communityCache());
+        phone.attachMetrics(&reg);
         fault::FaultConfig fc;
         fc.seed = u64(1000 + u);
         fc.radio.exchangeFailureRate = 1.0; // the tunnel
@@ -64,14 +65,13 @@ main()
 
         // Back above ground: coverage returns, the queue drains.
         phone.attachFaults(nullptr);
-        const auto sync = phone.syncMissQueue();
-        const auto &rs = phone.resilience();
-        stale += rs.staleServes;
-        offline_pages += rs.offlinePages;
-        queued += rs.queuedMisses;
-        synced += sync.synced;
-        counters.merge(rs.toCounters());
+        phone.syncMissQueue();
     }
+    const u64 stale = reg.counterValue("device.degraded.stale");
+    const u64 offline_pages =
+        reg.counterValue("device.degraded.offline_pages");
+    const u64 queued = reg.counterValue("device.missq.queued");
+    const u64 synced = reg.counterValue("device.missq.synced");
 
     std::printf("Offline search with a dead radio (12 commuters, one "
                 "month of queries each):\n");
@@ -89,7 +89,12 @@ main()
                 "coverage returned: %llu\n",
                 (unsigned long long)queued, (unsigned long long)synced);
 
-    harness::printCounterReport("Combined resilience ledger", counters);
+    obs::MetricsSnapshot ledger;
+    for (const auto &c : reg.snapshot().counters) {
+        if (c.first.rfind("device.", 0) == 0)
+            ledger.counters.push_back(c);
+    }
+    harness::printMetricsReport("Combined resilience ledger", ledger);
 
     std::printf("\nThe same cache also relieves the network when "
                 "connectivity exists: every one of those\nqueries "

@@ -10,7 +10,6 @@ namespace pc::core {
 
 namespace {
 
-constexpr char kLegacyMagic[4] = {'P', 'C', 'I', 'X'};
 constexpr char kMagic[4] = {'P', 'C', 'S', '2'};
 constexpr u32 kFormatVersion = 2;
 /** magic + version + sequence + pair count. */
@@ -221,45 +220,6 @@ persistIndex(PocketSearch &ps, pc::simfs::FlashStore &store,
     return res;
 }
 
-namespace {
-
-/** Legacy single-file PCIX reader (no checksum; best effort). */
-RestoreResult
-restoreLegacy(PocketSearch &ps, pc::simfs::FlashStore &store,
-              const std::string &file_name)
-{
-    RestoreResult res;
-    const pc::simfs::FileId f = store.lookup(file_name);
-    if (f == pc::simfs::kNoFile)
-        return res;
-
-    std::string blob;
-    store.read(f, 0, store.size(f), blob, res.loadTime);
-    res.loadTime +=
-        SimTime(blob.size()) * PocketSearch::kIndexParsePerByte;
-
-    if (blob.size() < 8 || std::memcmp(blob.data(), kLegacyMagic, 4) != 0)
-        return res;
-    std::size_t pos = 4;
-    u32 count = 0;
-    if (!get(blob, pos, count))
-        return res;
-
-    // Stage everything first: a truncated legacy snapshot must not
-    // leak partial state into the cache.
-    std::vector<ParsedPair> pairs;
-    if (!parsePairs(blob, pos, blob.size(), count, pairs))
-        return res;
-
-    restoreAll(ps, pairs);
-    res.pairs = pairs.size();
-    res.ok = true;
-    res.legacyFormat = true;
-    return res;
-}
-
-} // namespace
-
 RestoreResult
 restoreIndex(PocketSearch &ps, pc::simfs::FlashStore &store,
              const std::string &file_name)
@@ -267,13 +227,11 @@ restoreIndex(PocketSearch &ps, pc::simfs::FlashStore &store,
     RestoreResult res;
 
     ParsedSlot slots[2];
-    bool present[2] = {false, false};
     for (int i = 0; i < 2; ++i) {
         const std::string name = slotName(file_name, i);
         const pc::simfs::FileId f = store.lookup(name);
         if (f == pc::simfs::kNoFile)
             continue;
-        present[i] = true;
         std::string blob;
         store.read(f, 0, store.size(f), blob, res.loadTime);
         res.loadTime +=
@@ -290,16 +248,8 @@ restoreIndex(PocketSearch &ps, pc::simfs::FlashStore &store,
             best = i;
     }
 
-    if (best < 0) {
-        // No valid slot. If no slot file even exists, the snapshot may
-        // predate the checksummed format — try the legacy reader.
-        if (!present[0] && !present[1]) {
-            RestoreResult legacy = restoreLegacy(ps, store, file_name);
-            legacy.loadTime += res.loadTime;
-            return legacy;
-        }
+    if (best < 0)
         return res;
-    }
 
     restoreAll(ps, slots[best].pairs);
     res.ok = true;

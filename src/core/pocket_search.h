@@ -274,8 +274,6 @@ class PocketSearch
 
     /** Serving statistics. */
     const ServeStats &stats() const { return stats_; }
-    /** Reset serving statistics. */
-    void resetStats() { stats_ = ServeStats{}; }
 
     /**
      * Register serving counters under "core.search.*" (lookups,

@@ -47,25 +47,6 @@ deviceFlashConfig(const DeviceConfig &cfg)
     return fc;
 }
 
-CounterBag
-ResilienceStats::toCounters() const
-{
-    CounterBag bag;
-    bag.set("device.radio_attempts", radioAttempts);
-    bag.set("device.retries", retries);
-    bag.set("device.no_coverage_attempts", noCoverageAttempts);
-    bag.set("device.failed_attempts", failedAttempts);
-    bag.set("device.latency_spikes", latencySpikes);
-    bag.set("device.degraded_serves", degradedServes);
-    bag.set("device.stale_serves", staleServes);
-    bag.set("device.offline_pages", offlinePages);
-    bag.set("device.queued_misses", queuedMisses);
-    bag.set("device.synced_misses", syncedMisses);
-    bag.set("device.sync.corrupt_delta", corruptDeltas);
-    bag.set("device.sync.rejected_delta", rejectedDeltas);
-    return bag;
-}
-
 MobileDevice::MobileDevice(const core::QueryUniverse &universe,
                            const DeviceConfig &cfg,
                            const PocketSearchConfig &ps_cfg)
@@ -253,12 +234,9 @@ MobileDevice::radioExchangeWithRetry(QueryOutcome &out,
     SimTime elapsed = 0;
     for (u32 attempt = 1;; ++attempt) {
         ++out.attempts;
-        ++resilience_.radioAttempts;
         bumpCtr(metrics_.attempts);
-        if (attempt > 1) {
-            ++resilience_.retries;
+        if (attempt > 1)
             bumpCtr(metrics_.retries);
-        }
 
         const SimTime attemptStart = start + elapsed;
         const auto oc = flink.attempt(attemptStart, cfg_.requestBytes,
@@ -285,20 +263,14 @@ MobileDevice::radioExchangeWithRetry(QueryOutcome &out,
                   "device", attemptStart, oc.xfer.latency);
 
         if (oc.ok) {
-            if (oc.latencySpike) {
-                ++resilience_.latencySpikes;
+            if (oc.latencySpike)
                 bumpCtr(metrics_.spikes);
-            }
             return true;
         }
-        if (oc.noCoverage) {
-            ++resilience_.noCoverageAttempts;
+        if (oc.noCoverage)
             bumpCtr(metrics_.noCoverage);
-        }
-        if (oc.failed) {
-            ++resilience_.failedAttempts;
+        if (oc.failed)
             bumpCtr(metrics_.failed);
-        }
 
         if (attempt >= rp.maxAttempts || elapsed >= rp.queryBudget)
             return false;
@@ -386,25 +358,20 @@ MobileDevice::serveQuery(const workload::PairRef &pair, ServePath path,
         // the offline page. Either way, queue the miss so it can be
         // fetched when coverage returns.
         out.degraded = true;
-        ++resilience_.degradedServes;
         bumpCtr(metrics_.degraded);
         if (path == ServePath::PocketSearch) {
             missQueue_.push_back(pair);
-            ++resilience_.queuedMisses;
             bumpCtr(metrics_.queued);
             if (lookup.hit) {
                 out.staleServe = true;
-                ++resilience_.staleServes;
                 bumpCtr(metrics_.stale);
                 out.fetchTime = lookup.fetchTime;
                 addSegment(out, "stale-fetch", out.fetchTime,
                            cfg_.basePower);
             } else {
-                ++resilience_.offlinePages;
                 bumpCtr(metrics_.offline);
             }
         } else {
-            ++resilience_.offlinePages;
             bumpCtr(metrics_.offline);
         }
         out.renderTime = browser_.renderSearchPage();
@@ -459,7 +426,6 @@ MobileDevice::syncMissQueue(ServePath path)
     fault::FaultyLink flink(radio, faults_);
     std::size_t done = 0;
     while (done < missQueue_.size()) {
-        ++resilience_.radioAttempts;
         bumpCtr(metrics_.attempts);
         const auto oc = flink.attempt(now_, cfg_.requestBytes,
                                       cfg_.responseBytes, cfg_.serverTime);
@@ -468,26 +434,19 @@ MobileDevice::syncMissQueue(ServePath path)
         now_ += oc.xfer.latency;
         if (!oc.ok) {
             // Connectivity died again; keep the rest queued.
-            if (oc.noCoverage) {
-                ++resilience_.noCoverageAttempts;
+            if (oc.noCoverage)
                 bumpCtr(metrics_.noCoverage);
-            }
-            if (oc.failed) {
-                ++resilience_.failedAttempts;
+            if (oc.failed)
                 bumpCtr(metrics_.failed);
-            }
             break;
         }
-        if (oc.latencySpike) {
-            ++resilience_.latencySpikes;
+        if (oc.latencySpike)
             bumpCtr(metrics_.spikes);
-        }
         // The queued miss is now fetched: feed it to personalization
         // exactly as a served click would have been.
         SimTime learn = 0;
         ps_->recordClick(missQueue_[done], learn);
         ++res.synced;
-        ++resilience_.syncedMisses;
         bumpCtr(metrics_.synced);
         ++done;
     }
@@ -560,12 +519,9 @@ MobileDevice::syncCommunityFrame(const std::string &frame,
     SimTime elapsed = 0;
     for (u32 attempt = 1;; ++attempt) {
         ++res.attempts;
-        ++resilience_.radioAttempts;
         bumpCtr(metrics_.attempts);
-        if (attempt > 1) {
-            ++resilience_.retries;
+        if (attempt > 1)
             bumpCtr(metrics_.retries);
-        }
         const SimTime attemptStart = now_ + elapsed;
         const auto oc =
             flink.attempt(attemptStart, cfg_.syncRequestBytes,
@@ -586,10 +542,8 @@ MobileDevice::syncCommunityFrame(const std::string &frame,
             recordSyncStage(ev);
         }
         if (oc.ok) {
-            if (oc.latencySpike) {
-                ++resilience_.latencySpikes;
+            if (oc.latencySpike)
                 bumpCtr(metrics_.spikes);
-            }
             // The exchange delivered; the payload may still have been
             // mangled in flight. Verify the frame before trusting it.
             std::optional<std::string> mangled;
@@ -613,19 +567,14 @@ MobileDevice::syncCommunityFrame(const std::string &frame,
                 break;
             }
             ++res.corruptRejected;
-            ++resilience_.corruptDeltas;
             bumpCtr(metrics_.corruptDelta);
             // Fall through: a corrupt frame re-requests like a failed
             // exchange, under the same backoff.
         } else {
-            if (oc.noCoverage) {
-                ++resilience_.noCoverageAttempts;
+            if (oc.noCoverage)
                 bumpCtr(metrics_.noCoverage);
-            }
-            if (oc.failed) {
-                ++resilience_.failedAttempts;
+            if (oc.failed)
                 bumpCtr(metrics_.failed);
-            }
         }
         if (attempt >= rp.maxAttempts || elapsed >= rp.queryBudget)
             break;
@@ -699,7 +648,6 @@ MobileDevice::syncCommunityFrame(const std::string &frame,
         res.ok = false;
         res.rejected = true;
         res.applyError = ar.error;
-        ++resilience_.rejectedDeltas;
         bumpCtr(metrics_.rejectedDelta);
         ++badDeltaStreak_;
         if (recorder_ != nullptr) {

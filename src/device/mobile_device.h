@@ -27,7 +27,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "radio/link.h"
-#include "util/stats.h"
 
 namespace pc::device {
 
@@ -96,27 +95,6 @@ struct DeviceConfig
 
 /** The flash geometry a device with these constants runs on. */
 pc::nvm::FlashConfig deviceFlashConfig(const DeviceConfig &cfg);
-
-/** Resilience counters: what the device did about injected faults. */
-struct ResilienceStats
-{
-    u64 radioAttempts = 0;     ///< Exchange attempts started.
-    u64 retries = 0;           ///< Attempts beyond a query's first.
-    u64 noCoverageAttempts = 0; ///< Attempts begun inside an outage.
-    u64 failedAttempts = 0;    ///< Attempts killed mid-exchange.
-    u64 latencySpikes = 0;     ///< Successful but congested exchanges.
-    u64 degradedServes = 0;    ///< Queries answered locally because the
-                               ///< cloud stayed unreachable.
-    u64 staleServes = 0;       ///< Degraded answers with cached results.
-    u64 offlinePages = 0;      ///< Degraded answers with nothing cached.
-    u64 queuedMisses = 0;      ///< Misses queued for later sync.
-    u64 syncedMisses = 0;      ///< Queued misses later fetched.
-    u64 corruptDeltas = 0;     ///< Delta frames failing the CRC check.
-    u64 rejectedDeltas = 0;    ///< Verified deltas failing validation.
-
-    /** Counters as a mergeable bag (workbench reporting). */
-    CounterBag toCounters() const;
-};
 
 /** Everything measured about one served query. */
 struct QueryOutcome
@@ -206,7 +184,9 @@ class MobileDevice
      * latency/energy histograms ("device.latency_ms.<path>"), and
      * wires the store ("simfs.*"), PocketSearch ("core.search.*") and
      * every radio link ("device.radio.<link>.*") into the same
-     * registry. nullptr detaches everything.
+     * registry. These counters are the device's only ledger of what it
+     * did about injected faults: a detached device counts nothing.
+     * nullptr detaches everything.
      */
     void attachMetrics(obs::MetricRegistry *reg);
 
@@ -258,7 +238,7 @@ class MobileDevice
      */
     void beginSyncTrace();
 
-    /** Discard the active sync trace (shed / no-version outcomes). */
+    /** Discard the active sync trace (no-version outcomes). */
     void clearSyncTrace() { syncCtx_ = obs::TraceContext{}; }
 
     /**
@@ -270,12 +250,6 @@ class MobileDevice
      * cross-tier chain stays thread-free and deterministic.
      */
     void recordSyncStage(obs::SyncEvent ev);
-
-    /** What the device did about injected faults. */
-    const ResilienceStats &resilience() const { return resilience_; }
-
-    /** Reset resilience counters. */
-    void resetResilience() { resilience_ = ResilienceStats{}; }
 
     /** Misses queued while the cloud was unreachable (oldest first). */
     const std::vector<workload::PairRef> &missQueue() const
@@ -313,12 +287,6 @@ class MobileDevice
         u32 corruptRejected = 0; ///< Frames rejected by the CRC check.
         /** The verified delta failed validation (state mismatch). */
         bool rejected = false;
-        /**
-         * The server shed the sync (admission control) before any
-         * radio traffic; retry next window. Set by the service, never
-         * by the device itself.
-         */
-        bool shed = false;
         /** Why validation rejected it (None unless `rejected`). */
         core::DeltaApplyError applyError = core::DeltaApplyError::None;
         core::DeltaApplyStats apply{}; ///< Application accounting.
@@ -462,7 +430,6 @@ class MobileDevice
     u64 communityVersion_ = 0;
     u32 badDeltaStreak_ = 0;
     fault::FaultPlan *faults_ = nullptr;
-    ResilienceStats resilience_;
     std::vector<workload::PairRef> missQueue_;
     obs::MetricRegistry *registry_ = nullptr;
     Metrics metrics_;

@@ -36,7 +36,6 @@
 
 #include "obs/metrics.h"
 #include "util/rng.h"
-#include "util/stats.h"
 #include "util/types.h"
 
 namespace pc::fault {
@@ -194,13 +193,11 @@ class FaultPlan
      */
     u64 rngDraws() const { return rng_.draws(); }
 
-    /** Injected-fault counters as a mergeable bag. */
-    CounterBag toCounters() const;
-
     /**
      * Fold the injected-fault ground truth into a registry (bumps the
-     * "fault.*" counters by current values). Call once per experiment
-     * phase — typically right before snapshotting.
+     * "fault.*" counters by current values, registering every one even
+     * at zero). Call once per experiment phase — typically right
+     * before snapshotting.
      */
     void publishMetrics(obs::MetricRegistry &reg) const;
 

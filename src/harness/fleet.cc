@@ -203,7 +203,7 @@ class DeviceSim
         // recorder is private to this worker — recording stays
         // deterministic and thread-free.
         if (chaos_) {
-            recorder_.emplace(u64(i), cfg.recorderCapacity);
+            recorder_.emplace(u64(i)); // kDefaultCapacity ring
             dev_->attachFlightRecorder(&*recorder_);
         }
 
@@ -443,8 +443,10 @@ class DeviceSim
             out_.injectedCorruptions =
                 chaosPlan_->stats().payloadCorruptions +
                 stormPlan_->stats().payloadCorruptions;
-            out_.corruptRejected = dev_->resilience().corruptDeltas;
-            out_.rejectedDeltas = dev_->resilience().rejectedDeltas;
+            out_.corruptRejected =
+                out_.registry->counterValue("device.sync.corrupt_delta");
+            out_.rejectedDeltas =
+                out_.registry->counterValue("device.sync.rejected_delta");
             if (recorder_.has_value()) {
                 out_.events = recorder_->events();
                 // Ring pressure into the device registry, so the fleet

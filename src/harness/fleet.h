@@ -241,14 +241,6 @@ struct FleetRunConfig
     ChaosConfig chaos{};
 
     /**
-     * Flight-recorder ring capacity for chaos runs (events per
-     * device). Chaos attaches a recorder to every device so invariant
-     * violations come back explained (see postmortem.h); chaos off
-     * attaches nothing and records nothing.
-     */
-    std::size_t recorderCapacity = obs::FlightRecorder::kDefaultCapacity;
-
-    /**
      * Flash-crowd scenario (see FlashCrowdConfig). Enabled, it selects
      * the event-core driver; disabled, devices run the epoch loop.
      */

@@ -22,15 +22,6 @@
 namespace pc::harness {
 
 /**
- * Print a counter bag as a two-column table. The fault-injection
- * experiments merge the plan's injected-fault counters with the
- * device's resilience counters and report them through here, so every
- * experiment shows the same ledger: what was injected, and what the
- * device did about it.
- */
-void printCounterReport(const std::string &title, const CounterBag &bag);
-
-/**
  * Print a registry snapshot as tables: one for counters (skipping
  * zeros), one for gauges, one summary row per histogram. The same
  * snapshot can be attached to a BenchReport for the machine-readable

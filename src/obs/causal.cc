@@ -25,7 +25,6 @@ syncStageName(SyncStage s)
       case SyncStage::SyncRequest: return "sync_request";
       case SyncStage::VersionLookup: return "version_lookup";
       case SyncStage::DeltaBuild: return "delta_build";
-      case SyncStage::Shed: return "shed";
       case SyncStage::Escalate: return "escalate";
       case SyncStage::NoVersion: return "no_version";
       case SyncStage::FrameDelivery: return "frame_delivery";
@@ -46,13 +45,12 @@ syncStageFromName(std::string_view name, SyncStage &out)
 {
     static constexpr SyncStage kAll[] = {
         SyncStage::SyncRequest, SyncStage::VersionLookup,
-        SyncStage::DeltaBuild,  SyncStage::Shed,
-        SyncStage::Escalate,    SyncStage::NoVersion,
-        SyncStage::FrameDelivery, SyncStage::Backoff,
-        SyncStage::CrcCheck,    SyncStage::Validate,
-        SyncStage::Commit,      SyncStage::Reject,
-        SyncStage::Abort,       SyncStage::Sabotage,
-        SyncStage::SloBreach,
+        SyncStage::DeltaBuild,  SyncStage::Escalate,
+        SyncStage::NoVersion,   SyncStage::FrameDelivery,
+        SyncStage::Backoff,     SyncStage::CrcCheck,
+        SyncStage::Validate,    SyncStage::Commit,
+        SyncStage::Reject,      SyncStage::Abort,
+        SyncStage::Sabotage,    SyncStage::SloBreach,
     };
     for (SyncStage s : kAll) {
         if (name == syncStageName(s)) {

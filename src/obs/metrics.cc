@@ -41,15 +41,6 @@ MetricsSnapshot::deltaSince(const MetricsSnapshot &earlier) const
     return d;
 }
 
-CounterBag
-MetricsSnapshot::toCounterBag() const
-{
-    CounterBag bag;
-    for (const auto &[n, v] : counters)
-        bag.set(n, v);
-    return bag;
-}
-
 void
 MetricsSnapshot::writeJson(std::ostream &os, bool pretty) const
 {
@@ -137,6 +128,13 @@ MetricRegistry::findCounter(const std::string &name) const
     return it == counters_.end() ? nullptr : it->second.get();
 }
 
+u64
+MetricRegistry::counterValue(const std::string &name) const
+{
+    const Counter *c = findCounter(name);
+    return c ? c->value() : 0;
+}
+
 const Gauge *
 MetricRegistry::findGauge(const std::string &name) const
 {
@@ -190,14 +188,6 @@ MetricRegistry::mergeFrom(const MetricRegistry &other)
         Histogram &dst = it != histograms_.end() ? *it->second : histogram(n);
         dst.mergeFrom(*h);
     }
-}
-
-void
-MetricRegistry::importCounters(const CounterBag &bag,
-                               const std::string &prefix)
-{
-    for (const auto &[n, v] : bag.items())
-        counter(prefix + n).bump(v);
 }
 
 } // namespace pc::obs

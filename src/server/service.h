@@ -48,16 +48,6 @@ struct ServiceConfig
      */
     std::size_t maxVersions = 16;
     /**
-     * Admission control: syncs admitted per published version through
-     * syncDevice() (0 = unbounded). Once a version's budget is spent,
-     * further syncs are shed — counted under "server.sync.shed", no
-     * delta generated, no radio traffic, device untouched — so a
-     * thundering-herd reconnect after a fleet-wide outage degrades
-     * into retry-next-window instead of an unbounded sync queue. The
-     * budget resets at every ingest().
-     */
-    u64 syncBudgetPerVersion = 0;
-    /**
      * Publish health.server.* busy-time/demand ledgers (obs/health.h)
      * from the service's deterministic op counts, using the modeled
      * per-op costs in obs/health.h — never the measured wall clocks,
@@ -157,7 +147,8 @@ class CloudUpdateService
         std::size_t evicts = 0;
         std::size_t reranks = 0;
         bool fullInstall = false; ///< Delta was a from-v0 install.
-        bool shed = false;        ///< Admission control dropped the sync.
+        bool shed = false;        ///< The fleet's herd budget dropped
+                                  ///< the sync (set by the caller).
         bool noVersion = false;   ///< Target version off the window.
         bool rejected = false;    ///< Device rejected the delta (skew).
         bool escalated = false;   ///< Full install forced by a bad-delta
@@ -209,8 +200,6 @@ class CloudUpdateService
     /** version -> model; ordered so eviction drops the oldest. */
     std::map<u64, CommunityModel> history_;
     u64 latest_ = 0;
-    /** Syncs admitted against the current version (admission control). */
-    u64 syncsThisVersion_ = 0;
     obs::MetricRegistry registry_;
 };
 

@@ -8,67 +8,11 @@
 #ifndef PC_UTIL_STATS_H
 #define PC_UTIL_STATS_H
 
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "util/types.h"
 
 namespace pc {
-
-/**
- * Ordered set of named event counters.
- *
- * The fault-injection layer and the device resilience machinery count
- * discrete events (outages hit, exchanges failed, retries, degraded
- * serves, ...). A CounterBag gives them one uniform currency that the
- * workbench can merge and print, and that tests can compare wholesale.
- * Counters keep first-bump order so reports are stable and readable.
- */
-class CounterBag
-{
-  public:
-    /** Increment `name` by `delta`, creating it at zero first. */
-    void bump(const std::string &name, u64 delta = 1);
-
-    /** Set `name` to an absolute value (gauge-style use). */
-    void set(const std::string &name, u64 value);
-
-    /** Current value; 0 if the counter was never touched. */
-    u64 value(const std::string &name) const;
-
-    /** True if the counter exists. */
-    bool contains(const std::string &name) const;
-
-    /**
-     * Fold another bag's counters into this one.
-     *
-     * Ordering guarantee: counters already present keep their existing
-     * positions (their values accumulate in place); counters new to
-     * this bag are appended in `other`'s first-bump order. Merging the
-     * same sequence of bags therefore always yields the same item
-     * order, so merged reports are deterministic and diffable.
-     */
-    void merge(const CounterBag &other);
-
-    /** Counters in first-bump order. */
-    const std::vector<std::pair<std::string, u64>> &items() const
-    {
-        return items_;
-    }
-
-    /** Sum of all counter values. */
-    u64 total() const;
-
-    /** Number of distinct counters. */
-    std::size_t size() const { return items_.size(); }
-
-    /** Drop all counters. */
-    void clear() { items_.clear(); }
-
-  private:
-    std::vector<std::pair<std::string, u64>> items_;
-};
 
 /**
  * Online mean/variance/min/max accumulator (Welford's algorithm).

@@ -100,8 +100,10 @@ TEST_F(CacheManagerTest, PrunesUntouchedCommunityPairs)
     EXPECT_EQ(snap.counterValue("core.update.pairs_added"), 2u);
     EXPECT_EQ(snap.counterValue("core.update.bytes_to_server"),
               2 * stats.bytesToServer);
-    EXPECT_EQ(stats.toCounters().value("core.update.records_patched"),
-              stats.recordsPatched);
+    EXPECT_EQ(snap.counterValue("core.update.records_patched"),
+              2 * stats.recordsPatched);
+    EXPECT_EQ(snap.counters.size(), 8u)
+        << "every core.update.* counter registers, even at zero";
 }
 
 TEST_F(CacheManagerTest, KeepsUserAccessedPairs)

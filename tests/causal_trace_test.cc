@@ -199,7 +199,7 @@ TEST(SyncEventJson, RoundTripsThroughTheObsParser)
 
 TEST(SyncStageNames, RoundTrip)
 {
-    for (u8 s = 0; s <= u8(SyncStage::Sabotage); ++s) {
+    for (u8 s = 0; s <= u8(SyncStage::SloBreach); ++s) {
         SyncStage stage = SyncStage(s);
         SyncStage back;
         ASSERT_TRUE(syncStageFromName(syncStageName(stage), back));

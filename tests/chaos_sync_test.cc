@@ -4,10 +4,10 @@
  * transfer property (every truncation rejected), exhaustive single-bit
  * flip rejection, transactional delta apply (validate-then-commit
  * leaves a mismatched device untouched), corrupt-delta retry plus the
- * bad-streak escalation to a full install, server-side admission
- * control (shed budget), poisoned-log ingest skip-and-count, the typed
- * out-of-window error paths of findModel/tryMakeDelta, and one small
- * end-to-end chaos fleet run whose invariant checker must stay silent.
+ * bad-streak escalation to a full install, poisoned-log ingest
+ * skip-and-count, the typed out-of-window error paths of
+ * findModel/tryMakeDelta, and one small end-to-end chaos fleet run
+ * whose invariant checker must stay silent.
  */
 
 #include <gtest/gtest.h>
@@ -201,7 +201,9 @@ TEST(DeltaApply, VersionSkewRejectsThenEscalatesToFullInstall)
     // The device lies: claims the oldest in-window version over an
     // empty table. Each incremental sync is verified (CRC ok) but
     // fails validation — counted, version untouched, streak grows.
+    obs::MetricRegistry reg;
     device::MobileDevice dev(wb.universe());
+    dev.attachMetrics(&reg);
     dev.setCommunityVersion(svc.oldestVersion());
     for (u32 i = 1; i <= device::MobileDevice::kBadDeltaEscalation; ++i) {
         const auto res = svc.syncDevice(dev);
@@ -209,7 +211,7 @@ TEST(DeltaApply, VersionSkewRejectsThenEscalatesToFullInstall)
         EXPECT_TRUE(res.rejected);
         EXPECT_NE(res.applyError, core::DeltaApplyError::None);
         EXPECT_EQ(dev.communityVersion(), svc.oldestVersion());
-        EXPECT_EQ(dev.resilience().rejectedDeltas, u64(i));
+        EXPECT_EQ(reg.counterValue("device.sync.rejected_delta"), u64(i));
         EXPECT_EQ(dev.badDeltaStreak(), i);
         EXPECT_EQ(dev.needsFullInstall(),
                   i == device::MobileDevice::kBadDeltaEscalation);
@@ -245,7 +247,9 @@ TEST(DeltaApply, CorruptFramesAreRejectedCountedAndEscalate)
     Workbench &wb = sharedWorkbench();
     CloudUpdateService &svc = windowedService();
 
+    obs::MetricRegistry reg;
     device::MobileDevice dev(wb.universe());
+    dev.attachMetrics(&reg);
     fault::FaultConfig fc;
     fc.radio.payloadCorruptRate = 1.0; // every delivery flips a bit
     fc.seed = 11;
@@ -264,15 +268,14 @@ TEST(DeltaApply, CorruptFramesAreRejectedCountedAndEscalate)
         EXPECT_EQ(dev.communityVersion(), 0u);
         EXPECT_EQ(dev.pocketSearch().pairs(), 0u);
     }
-    EXPECT_EQ(dev.resilience().corruptDeltas,
-              u64(device::MobileDevice::kBadDeltaEscalation) *
-                  dev.config().retry.maxAttempts);
-    EXPECT_EQ(dev.resilience().corruptDeltas,
-              faults.stats().payloadCorruptions)
+    const u64 corrupt = reg.counterValue("device.sync.corrupt_delta");
+    EXPECT_EQ(corrupt, u64(device::MobileDevice::kBadDeltaEscalation) *
+                           dev.config().retry.maxAttempts);
+    EXPECT_EQ(corrupt, faults.stats().payloadCorruptions)
         << "every injected corruption must be caught";
     EXPECT_EQ(svc.metrics().snapshot().counterValue(
                   "server.sync.corrupt_retries"),
-              retriesBefore + dev.resilience().corruptDeltas);
+              retriesBefore + corrupt);
     // A never-synced device escalates trivially: from-version is
     // already 0, so the next clean sync is a plain full install.
     EXPECT_TRUE(dev.needsFullInstall());
@@ -282,37 +285,6 @@ TEST(DeltaApply, CorruptFramesAreRejectedCountedAndEscalate)
     ASSERT_TRUE(res.ok);
     EXPECT_EQ(dev.communityVersion(), svc.latestVersion());
     EXPECT_EQ(dev.badDeltaStreak(), 0u);
-}
-
-TEST(AdmissionControl, BudgetShedsAndResetsAtIngest)
-{
-    Workbench &wb = sharedWorkbench();
-    ServiceConfig cfg;
-    cfg.build.shards = 2;
-    cfg.build.threads = 1;
-    cfg.syncBudgetPerVersion = 2;
-    CloudUpdateService svc(wb.universe(), cfg);
-    svc.ingest(slicedLog(wb, wb.buildLog().size() / 2));
-
-    device::MobileDevice a(wb.universe()), b(wb.universe()),
-        c(wb.universe());
-    EXPECT_TRUE(svc.syncDevice(a).ok);
-    EXPECT_TRUE(svc.syncDevice(b).ok);
-    const auto shedRes = svc.syncDevice(c);
-    EXPECT_FALSE(shedRes.ok);
-    EXPECT_TRUE(shedRes.shed);
-    EXPECT_EQ(c.communityVersion(), 0u);
-    EXPECT_EQ(c.pocketSearch().pairs(), 0u)
-        << "a shed sync must not touch the device";
-    EXPECT_EQ(
-        svc.metrics().snapshot().counterValue("server.sync.shed"), 1u);
-    EXPECT_EQ(svc.metrics().snapshot().counterValue("server.syncs.ok"),
-              2u);
-
-    // The next publish refills the budget; the shed device gets in.
-    svc.ingest(wb.buildLog());
-    EXPECT_TRUE(svc.syncDevice(c).ok);
-    EXPECT_EQ(c.communityVersion(), 2u);
 }
 
 TEST(Ingest, PoisonedRecordsAreSkippedAndCounted)

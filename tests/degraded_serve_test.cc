@@ -3,7 +3,8 @@
  * Graceful-degradation tests: under injected radio faults the device
  * must never surface an error — cached queries still hit, unreachable
  * misses degrade to stale/offline answers and queue for later sync —
- * and the resilience counters must account for every injected fault.
+ * and the device's registry counters must account for every injected
+ * fault.
  */
 
 #include <gtest/gtest.h>
@@ -32,7 +33,14 @@ class DegradedServeTest : public ::testing::Test
   protected:
     DegradedServeTest() : uni_(tinyUniverse()), device_(uni_)
     {
+        device_.attachMetrics(&reg_);
         warmCache(device_);
+    }
+
+    /** A device counter by name (0 when never registered). */
+    u64 ctr(const std::string &name) const
+    {
+        return reg_.counterValue(name);
     }
 
     void
@@ -67,6 +75,7 @@ class DegradedServeTest : public ::testing::Test
     }
 
     workload::QueryUniverse uni_;
+    obs::MetricRegistry reg_;
     MobileDevice device_;
 };
 
@@ -110,22 +119,20 @@ TEST_F(DegradedServeTest, TwentyPercentFailureRateSurfacesNoErrors)
     EXPECT_EQ(hits, 80u);
 
     // Every injected fault is accounted for by a device counter.
-    const auto &rs = device_.resilience();
     const auto &in = plan.stats();
-    EXPECT_EQ(rs.failedAttempts, in.exchangeFailures);
-    EXPECT_GT(rs.failedAttempts, 0u) << "20% of ~40 queries must fail";
-    EXPECT_EQ(rs.noCoverageAttempts, in.outageAttempts);
-    EXPECT_EQ(rs.latencySpikes, in.latencySpikes);
-    EXPECT_EQ(rs.radioAttempts, attempts_seen);
-    EXPECT_EQ(rs.retries, rs.radioAttempts - radio_queries);
-    EXPECT_EQ(rs.degradedServes, rs.staleServes + rs.offlinePages);
-    EXPECT_EQ(rs.queuedMisses, rs.degradedServes);
+    EXPECT_EQ(ctr("device.radio.failed"), in.exchangeFailures);
+    EXPECT_GT(ctr("device.radio.failed"), 0u)
+        << "20% of ~40 queries must fail";
+    EXPECT_EQ(ctr("device.radio.no_coverage"), in.outageAttempts);
+    EXPECT_EQ(ctr("device.radio.latency_spikes"), in.latencySpikes);
+    EXPECT_EQ(ctr("device.radio.attempts"), attempts_seen);
+    EXPECT_EQ(ctr("device.radio.retries"), attempts_seen - radio_queries);
+    EXPECT_EQ(ctr("device.degraded.serves"),
+              ctr("device.degraded.stale") +
+                  ctr("device.degraded.offline_pages"));
+    EXPECT_EQ(ctr("device.missq.queued"), ctr("device.degraded.serves"));
     EXPECT_EQ(device_.missQueue().size(),
-              rs.queuedMisses - rs.syncedMisses);
-    // The counter bag mirrors the struct.
-    const auto bag = rs.toCounters();
-    EXPECT_EQ(bag.value("device.failed_attempts"), rs.failedAttempts);
-    EXPECT_EQ(bag.value("device.retries"), rs.retries);
+              ctr("device.missq.queued") - ctr("device.missq.synced"));
 }
 
 TEST_F(DegradedServeTest, UnreachableCloudDegradesThenSyncs)
@@ -161,11 +168,10 @@ TEST_F(DegradedServeTest, UnreachableCloudDegradesThenSyncs)
     EXPECT_TRUE(stale.staleServe);
     EXPECT_GT(stale.fetchTime, 0);
 
-    const auto &rs = device_.resilience();
-    EXPECT_EQ(rs.degradedServes, 2u);
-    EXPECT_EQ(rs.offlinePages, 1u);
-    EXPECT_EQ(rs.staleServes, 1u);
-    EXPECT_EQ(rs.queuedMisses, 2u);
+    EXPECT_EQ(ctr("device.degraded.serves"), 2u);
+    EXPECT_EQ(ctr("device.degraded.offline_pages"), 1u);
+    EXPECT_EQ(ctr("device.degraded.stale"), 1u);
+    EXPECT_EQ(ctr("device.missq.queued"), 2u);
     ASSERT_EQ(device_.missQueue().size(), 2u);
 
     // While the radio is still dead, a sync pass makes no progress but
@@ -183,7 +189,7 @@ TEST_F(DegradedServeTest, UnreachableCloudDegradesThenSyncs)
     EXPECT_GT(sync.time, 0);
     EXPECT_GT(sync.energy, 0.0);
     EXPECT_TRUE(device_.missQueue().empty());
-    EXPECT_EQ(device_.resilience().syncedMisses, 2u);
+    EXPECT_EQ(ctr("device.missq.synced"), 2u);
     EXPECT_TRUE(device_.pocketSearch().containsPair(p1));
     EXPECT_TRUE(device_.pocketSearch().containsPair(p2));
     const auto again =
@@ -209,22 +215,25 @@ TEST_F(DegradedServeTest, MixedFaultCountersBalanceExactly)
     }
     device_.syncMissQueue();
 
-    const auto &rs = device_.resilience();
     const auto &in = plan.stats();
-    EXPECT_EQ(rs.failedAttempts, in.exchangeFailures);
-    EXPECT_EQ(rs.noCoverageAttempts, in.outageAttempts);
-    EXPECT_EQ(rs.latencySpikes, in.latencySpikes);
+    EXPECT_EQ(ctr("device.radio.failed"), in.exchangeFailures);
+    EXPECT_EQ(ctr("device.radio.no_coverage"), in.outageAttempts);
+    EXPECT_EQ(ctr("device.radio.latency_spikes"), in.latencySpikes);
     EXPECT_GT(in.exchangeFailures, 0u);
     EXPECT_GT(in.outageAttempts, 0u);
     EXPECT_GT(in.latencySpikes, 0u);
-    // Every attempt is a success, a failure, or an outage probe.
-    EXPECT_EQ(rs.radioAttempts,
-              rs.failedAttempts + rs.noCoverageAttempts +
-                  (rs.radioAttempts - rs.failedAttempts -
-                   rs.noCoverageAttempts));
-    EXPECT_EQ(rs.degradedServes, rs.staleServes + rs.offlinePages);
+    // Every attempt is a success, a failure, or an outage probe. Each
+    // query that reached the cloud succeeded once, as did each synced
+    // miss.
+    EXPECT_EQ(ctr("device.radio.attempts"),
+              (60 - ctr("device.degraded.serves")) +
+                  ctr("device.missq.synced") + ctr("device.radio.failed") +
+                  ctr("device.radio.no_coverage"));
+    EXPECT_EQ(ctr("device.degraded.serves"),
+              ctr("device.degraded.stale") +
+                  ctr("device.degraded.offline_pages"));
     EXPECT_EQ(device_.missQueue().size(),
-              rs.queuedMisses - rs.syncedMisses);
+              ctr("device.missq.queued") - ctr("device.missq.synced"));
 }
 
 TEST_F(DegradedServeTest, ZeroRatePlanChangesNothing)
@@ -249,15 +258,20 @@ TEST_F(DegradedServeTest, ZeroRatePlanChangesNothing)
         ASSERT_EQ(a.attempts, b.attempts);
         ASSERT_EQ(a.degraded, b.degraded);
     }
-    EXPECT_EQ(device_.resilience().retries, 0u);
-    EXPECT_EQ(device_.resilience().degradedServes, 0u);
-    EXPECT_EQ(plan.toCounters().total(), 0u);
+    EXPECT_EQ(ctr("device.radio.retries"), 0u);
+    EXPECT_EQ(ctr("device.degraded.serves"), 0u);
+    obs::MetricRegistry injected;
+    plan.publishMetrics(injected);
+    for (const auto &[name, value] : injected.snapshot().counters)
+        EXPECT_EQ(value, 0u) << name;
 }
 
 TEST_F(DegradedServeTest, FaultyWorkloadIsDeterministic)
 {
     auto run = [this]() {
+        obs::MetricRegistry reg;
         MobileDevice d(uni_);
+        d.attachMetrics(&reg);
         warmCache(d);
         fault::FaultConfig fc;
         fc.seed = 31337;
@@ -278,8 +292,7 @@ TEST_F(DegradedServeTest, FaultyWorkloadIsDeterministic)
         }
         d.attachFaults(nullptr);
         d.syncMissQueue();
-        return std::tuple(latency, energy,
-                          d.resilience().toCounters().items());
+        return std::tuple(latency, energy, reg.snapshot().counters);
     };
     const auto a = run();
     const auto b = run();

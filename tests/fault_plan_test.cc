@@ -26,7 +26,14 @@ TEST(FaultPlanTest, DisabledPlanInjectsNothing)
     EXPECT_EQ(buf, std::string(64, 'x'));
     EXPECT_EQ(plan.stats().exchangeFailures, 0u);
     EXPECT_EQ(plan.stats().bitFlips, 0u);
-    EXPECT_EQ(plan.toCounters().total(), 0u);
+
+    // Publishing registers every "fault.*" counter, even at zero.
+    obs::MetricRegistry reg;
+    plan.publishMetrics(reg);
+    const auto snap = reg.snapshot();
+    EXPECT_EQ(snap.counters.size(), 6u);
+    for (const auto &[name, value] : snap.counters)
+        EXPECT_EQ(value, 0u) << name;
 }
 
 TEST(FaultPlanTest, OutageScheduleIsDeterministic)

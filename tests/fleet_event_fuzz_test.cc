@@ -10,12 +10,14 @@
  * either rejected with a message or executed to completion with sane
  * invariants. Outage episodes and chaos storms of UINT32_MAX months
  * must degrade exactly like 100-month ones: the month-window test may
- * not wrap. The world is tiny (2–4 devices) so the whole sweep stays
- * in the fast tier.
+ * not wrap. The world is tiny (2–4 devices); the few seeded configs
+ * whose flash crowds serve the most queries run as a separate
+ * slow-tier ctest entry (tests/CMakeLists.txt).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -223,60 +225,106 @@ TEST(FleetEventFuzz, ChaosStormOfU32MaxMonthsLastsToTheHorizon)
     EXPECT_TRUE(maxSeries == longSeries) << "series CSV differs";
 }
 
+/**
+ * The seeded random config for `seed`. Values are drawn from ranges
+ * that include every clamping edge (0, exactly the horizon, far past
+ * it); flash crowd on or off.
+ */
+FleetRunConfig
+randomConfig(u64 seed)
+{
+    Rng rng(seed * 0x2545F4914F6CDD1Dull);
+    FleetRunConfig cfg;
+    cfg.seed = seed;
+    cfg.devices = std::size_t(rng.below(5)); // 0..4
+    cfg.months = u32(rng.below(4));          // 0..3
+    cfg.threads = unsigned(rng.below(3));    // 0 = hardware
+    cfg.outageStartMonth = u32(rng.below(4));
+    cfg.outageMonths = u32(rng.below(3)) == 0 ? u32(rng.below(200))
+                                              : u32(rng.below(3));
+    // Spare draw: keeps each seed's config what it always was.
+    rng.below(2);
+    if (rng.below(2) == 0) {
+        cfg.flashCrowd.enabled = true;
+        cfg.outageMonths = 0;
+        cfg.flashCrowd.arrivalsPerHour = double(rng.below(12));
+        cfg.flashCrowd.burstMultiplier = double(rng.below(30));
+        const SimTime horizon = SimTime(cfg.months) * workload::kMonth;
+        const auto pick = [&](SimTime scale) {
+            switch (rng.below(4)) {
+              case 0: return SimTime(0);
+              case 1: return scale / 2;
+              case 2: return scale;
+              default: return scale * 3 + SimTime(rng.below(1000));
+            }
+        };
+        cfg.flashCrowd.burstStart = pick(horizon);
+        cfg.flashCrowd.burstLen = pick(horizon);
+        cfg.flashCrowd.outageStart = pick(horizon);
+        cfg.flashCrowd.outageLen = pick(horizon);
+        cfg.flashCrowd.reconnectStagger = pick(workload::kWeek);
+        cfg.flashCrowd.window =
+            rng.below(2) == 0 ? SimTime(0) : workload::kWeek;
+    }
+    return cfg;
+}
+
+/**
+ * Expected flash-crowd arrivals of a config across the fleet: the
+ * base rate over the horizon plus the burst's excess over its clamped
+ * window. Serving those queries is nearly all of a seed's cost.
+ */
+double
+expectedArrivals(const FleetRunConfig &cfg)
+{
+    const FlashCrowdConfig &fc = cfg.flashCrowd;
+    if (!fc.enabled)
+        return 0.0;
+    const SimTime horizon = SimTime(cfg.months) * workload::kMonth;
+    const SimTime burstStart = std::min(fc.burstStart, horizon);
+    const SimTime burstLen = std::min(fc.burstLen, horizon - burstStart);
+    const double hour = 3600.0 * double(kSecond);
+    return double(cfg.devices) * fc.arrivalsPerHour *
+           (double(horizon) / hour +
+            (fc.burstMultiplier - 1.0) * double(burstLen) / hour);
+}
+
+/**
+ * Seeds whose config expects more arrivals than this run in the
+ * slow-tier Heavy case: 8 of the 120, ~80% of the sweep's time.
+ */
+constexpr double kHeavyArrivals = 50'000.0;
+
+/**
+ * Run every one of the 120 seeded configs on one side of the
+ * kHeavyArrivals split. Each must validate cleanly and run to
+ * completion: the generator keeps every config structurally valid
+ * (invalid shapes are pinned by NamedAdversarialShapes).
+ * @return Seeds run.
+ */
+u64
+runSeeds(bool heavy)
+{
+    u64 ran = 0;
+    for (u64 seed = 1; seed <= 120; ++seed) {
+        const FleetRunConfig cfg = randomConfig(seed);
+        if ((expectedArrivals(cfg) > kHeavyArrivals) != heavy)
+            continue;
+        EXPECT_EQ(mustRunClean(cfg), "") << "seed " << seed;
+        ++ran;
+    }
+    return ran;
+}
+
+// The two cases split the 120 seeds 112 + 8, so together they run all.
 TEST(FleetEventFuzz, SeededRandomConfigsNeverMisbehave)
 {
-    // 120 seeded random configs, flash crowd on or off. Values are drawn
-    // from ranges that include every clamping edge (0, exactly the
-    // horizon, far past it). Each either validates cleanly and runs
-    // to completion, or is refused with a message.
-    u64 ran = 0, refused = 0;
-    for (u64 seed = 1; seed <= 120; ++seed) {
-        Rng rng(seed * 0x2545F4914F6CDD1Dull);
-        FleetRunConfig cfg;
-        cfg.seed = seed;
-        cfg.devices = std::size_t(rng.below(5)); // 0..4
-        cfg.months = u32(rng.below(4));          // 0..3
-        cfg.threads = unsigned(rng.below(3));    // 0 = hardware
-        cfg.outageStartMonth = u32(rng.below(4));
-        cfg.outageMonths = u32(rng.below(3)) == 0 ? u32(rng.below(200))
-                                                  : u32(rng.below(3));
-        // Spare draw: keeps each seed's config what it always was.
-        rng.below(2);
-        if (rng.below(2) == 0) {
-            cfg.flashCrowd.enabled = true;
-            cfg.outageMonths = 0;
-            cfg.flashCrowd.arrivalsPerHour = double(rng.below(12));
-            cfg.flashCrowd.burstMultiplier = double(rng.below(30));
-            const SimTime horizon =
-                SimTime(cfg.months) * workload::kMonth;
-            const auto pick = [&](SimTime scale) {
-                switch (rng.below(4)) {
-                  case 0: return SimTime(0);
-                  case 1: return scale / 2;
-                  case 2: return scale;
-                  default: return scale * 3 + SimTime(rng.below(1000));
-                }
-            };
-            cfg.flashCrowd.burstStart = pick(horizon);
-            cfg.flashCrowd.burstLen = pick(horizon);
-            cfg.flashCrowd.outageStart = pick(horizon);
-            cfg.flashCrowd.outageLen = pick(horizon);
-            cfg.flashCrowd.reconnectStagger =
-                pick(workload::kWeek);
-            cfg.flashCrowd.window =
-                rng.below(2) == 0 ? SimTime(0) : workload::kWeek;
-        }
-        const std::string err = mustRunClean(cfg);
-        if (err.empty())
-            ++ran;
-        else
-            ++refused;
-    }
-    // The generator keeps every random config structurally valid
-    // (invalid shapes are pinned by NamedAdversarialShapes), so all
-    // 120 must have executed.
-    EXPECT_EQ(ran, 120u);
-    EXPECT_EQ(refused, 0u);
+    EXPECT_EQ(runSeeds(false), 112u);
+}
+
+TEST(FleetEventFuzz, SeededHeavyConfigsNeverMisbehave)
+{
+    EXPECT_EQ(runSeeds(true), 8u);
 }
 
 } // namespace

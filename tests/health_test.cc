@@ -54,6 +54,22 @@ operator new[](std::size_t n)
     return ::operator new(n);
 }
 
+// std::stable_sort's temporary buffer comes from the nothrow form and
+// goes back through operator delete, so the nothrow forms must be
+// malloc-backed too, or ASan reports an alloc-dealloc mismatch.
+void *
+operator new(std::size_t n, const std::nothrow_t &) noexcept
+{
+    g_allocs.fetch_add(1, std::memory_order_relaxed);
+    return std::malloc(n ? n : 1);
+}
+
+void *
+operator new[](std::size_t n, const std::nothrow_t &tag) noexcept
+{
+    return ::operator new(n, tag);
+}
+
 // GCC can't see that the replacement operator new above is
 // malloc-backed when it inline-pairs gtest's `new TestClass` with
 // these deletes, so it flags free() as mismatched. It isn't.

@@ -229,19 +229,18 @@ TEST(Histogram, MemoryStaysBoundedOnLongStreams)
     }
 }
 
-TEST(MetricRegistry, ImportCountersBumpsWithPrefix)
+TEST(MetricRegistry, CounterValueLooksUpWithoutRegistering)
 {
-    CounterBag bag;
-    bag.bump("hits", 3);
-    bag.bump("misses", 2);
     MetricRegistry reg;
-    reg.counter("legacy.hits").bump(1);
-    reg.importCounters(bag, "legacy.");
-    EXPECT_EQ(reg.counter("legacy.hits").value(), 4u);
-    EXPECT_EQ(reg.counter("legacy.misses").value(), 2u);
+    reg.counter("x.hits").bump(3);
+    EXPECT_EQ(reg.counterValue("x.hits"), 3u);
+    EXPECT_EQ(reg.counterValue("absent"), 0u);
+    EXPECT_EQ(reg.findCounter("absent"), nullptr)
+        << "a lookup must not register a counter";
+    EXPECT_EQ(reg.size(), 1u);
 }
 
-TEST(MetricsSnapshot, ToCounterBagAndJson)
+TEST(MetricsSnapshot, NameOrderAndJson)
 {
     MetricRegistry reg;
     reg.counter("b").bump(2);
@@ -249,10 +248,9 @@ TEST(MetricsSnapshot, ToCounterBagAndJson)
     reg.histogram("h").observe(1.0);
     const auto snap = reg.snapshot();
 
-    const CounterBag bag = snap.toCounterBag();
-    ASSERT_EQ(bag.size(), 2u);
-    EXPECT_EQ(bag.items()[0].first, "a") << "snapshot (name) order";
-    EXPECT_EQ(bag.value("b"), 2u);
+    ASSERT_EQ(snap.counters.size(), 2u);
+    EXPECT_EQ(snap.counters[0].first, "a") << "snapshot (name) order";
+    EXPECT_EQ(snap.counterValue("b"), 2u);
 
     std::ostringstream os;
     snap.writeJson(os);

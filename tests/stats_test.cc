@@ -228,98 +228,5 @@ TEST(CumulativeShare, EmptyVolumes)
     EXPECT_EQ(cs.topForShare(0.5), 0u);
 }
 
-TEST(CounterBag, BumpSetAndValue)
-{
-    CounterBag bag;
-    EXPECT_EQ(bag.value("x"), 0u);
-    EXPECT_FALSE(bag.contains("x"));
-    bag.bump("x");
-    bag.bump("x", 4);
-    EXPECT_EQ(bag.value("x"), 5u);
-    EXPECT_TRUE(bag.contains("x"));
-    bag.set("x", 2);
-    EXPECT_EQ(bag.value("x"), 2u);
-    bag.set("y", 0);
-    EXPECT_TRUE(bag.contains("y")) << "a set counter exists even at zero";
-    EXPECT_EQ(bag.size(), 2u);
-    EXPECT_EQ(bag.total(), 2u);
-}
-
-TEST(CounterBag, KeepsFirstBumpOrder)
-{
-    CounterBag bag;
-    bag.bump("c");
-    bag.bump("a");
-    bag.bump("b");
-    bag.bump("a"); // must not reorder
-    const auto &items = bag.items();
-    ASSERT_EQ(items.size(), 3u);
-    EXPECT_EQ(items[0].first, "c");
-    EXPECT_EQ(items[1].first, "a");
-    EXPECT_EQ(items[2].first, "b");
-    EXPECT_EQ(items[1].second, 2u);
-}
-
-TEST(CounterBag, MergeAddsAndAppends)
-{
-    CounterBag a;
-    a.bump("hits", 3);
-    a.bump("misses", 1);
-    CounterBag b;
-    b.bump("misses", 2);
-    b.bump("retries", 7);
-    a.merge(b);
-    EXPECT_EQ(a.value("hits"), 3u);
-    EXPECT_EQ(a.value("misses"), 3u);
-    EXPECT_EQ(a.value("retries"), 7u);
-    ASSERT_EQ(a.size(), 3u);
-    EXPECT_EQ(a.items()[2].first, "retries") << "new keys append at the end";
-    EXPECT_EQ(a.total(), 13u);
-}
-
-TEST(CounterBag, MergeOrderingIsDeterministicAcrossMerges)
-{
-    // The documented guarantee: existing counters keep their positions
-    // (values accumulate in place); counters new to this bag append in
-    // the other bag's first-bump order. Merging the same sequence of
-    // bags therefore always yields the same item order.
-    CounterBag b1;
-    b1.bump("alpha");
-    b1.bump("beta");
-    CounterBag b2;
-    b2.bump("gamma");
-    b2.bump("alpha");
-    b2.bump("delta");
-
-    CounterBag merged;
-    merged.merge(b1);
-    merged.merge(b2);
-    const auto &items = merged.items();
-    ASSERT_EQ(items.size(), 4u);
-    EXPECT_EQ(items[0].first, "alpha");
-    EXPECT_EQ(items[1].first, "beta");
-    EXPECT_EQ(items[2].first, "gamma");
-    EXPECT_EQ(items[3].first, "delta");
-    EXPECT_EQ(merged.value("alpha"), 2u);
-
-    // Re-running the same merge sequence reproduces the exact order.
-    CounterBag again;
-    again.merge(b1);
-    again.merge(b2);
-    ASSERT_EQ(again.items().size(), items.size());
-    for (std::size_t i = 0; i < items.size(); ++i)
-        EXPECT_EQ(again.items()[i], items[i]) << "index " << i;
-}
-
-TEST(CounterBag, ClearEmpties)
-{
-    CounterBag bag;
-    bag.bump("x", 9);
-    bag.clear();
-    EXPECT_EQ(bag.size(), 0u);
-    EXPECT_EQ(bag.total(), 0u);
-    EXPECT_FALSE(bag.contains("x"));
-}
-
 } // namespace
 } // namespace pc
